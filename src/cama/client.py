@@ -6,18 +6,19 @@ every LLM-dependent pipeline stage can run deterministically offline.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import random
-import threading
 import time
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Protocol, Sequence
 
-from .errors import ParseError, RateLimited, ScriptMismatch, TransportError
+from .errors import CamaError, ParseError, RateLimited, ScriptMismatch, TransportError
 from .templates import TEMPLATE_TAGS
 
 logger = logging.getLogger(__name__)
@@ -48,6 +49,29 @@ def prompt_sha256(prompt: str) -> str:
 
 class ChatClient(Protocol):
     def complete(self, request: ChatRequest) -> str: ...
+
+
+def _settle(complete: Callable[[ChatRequest], str], request: ChatRequest) -> str | CamaError:
+    try:
+        return complete(request)
+    except CamaError as e:
+        # the traceback holds the frames the error passed through, whose
+        # locals can hold the error again: a cycle only a full collection frees
+        return e.with_traceback(None)
+
+
+def complete_all(client: ChatClient, requests: Sequence[ChatRequest]) -> list[str | CamaError]:
+    """Complete independent requests; results come back in request order.
+
+    A request that fails yields its ``CamaError`` in place of the response
+    and does not stop the others. A client with its own ``complete_all``
+    decides how the batch is sent; any other client is called one request
+    at a time, in order.
+    """
+    batch = getattr(client, "complete_all", None)
+    if batch is not None:
+        return batch(requests)
+    return [_settle(client.complete, r) for r in requests]
 
 
 # --- transcript ------------------------------------------------------------
@@ -99,8 +123,10 @@ def transcript_line(entry: TranscriptEntry) -> str:
 class ScriptedChatClient:
     """Replays transcript entries matched by (tag, prompt hash).
 
-    Entries with the same key are consumed in recording order. Matching is
-    serialized internally, so concurrent callers are safe.
+    Entries with the same key are consumed in recording order. A batch is
+    replayed one request at a time in request order, which is the order a
+    recording client writes it in, so identical prompts in one batch get
+    their recorded responses back in the same positions.
     """
 
     def __init__(self, entries: Iterable[TranscriptEntry]):
@@ -109,7 +135,6 @@ class ScriptedChatClient:
         for e in entries:
             self._queues.setdefault((e.tag, e.prompt_sha256), deque()).append(e.response)
             self._count += 1
-        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedChatClient":
@@ -117,44 +142,55 @@ class ScriptedChatClient:
 
     def complete(self, request: ChatRequest) -> str:
         digest = prompt_sha256(request.prompt)
-        with self._lock:
-            queue = self._queues.get((request.tag, digest))
-            if not queue:
-                available = sorted(
-                    h for (t, h), q in self._queues.items() if t == request.tag and q
-                )
-                raise ScriptMismatch(
-                    f"no scripted response for tag {request.tag!r} with prompt hash "
-                    f"{digest}; remaining hashes for this tag: {available[:5]}"
-                )
-            self._count -= 1
-            return queue.popleft()
+        queue = self._queues.get((request.tag, digest))
+        if not queue:
+            available = sorted(
+                h for (t, h), q in self._queues.items() if t == request.tag and q
+            )
+            raise ScriptMismatch(
+                f"no scripted response for tag {request.tag!r} with prompt hash "
+                f"{digest}; remaining hashes for this tag: {available[:5]}"
+            )
+        self._count -= 1
+        return queue.popleft()
 
     def pending(self) -> int:
         """Entries not yet consumed; useful for asserting full coverage."""
-        with self._lock:
-            return self._count
+        return self._count
 
 
 class RecordingClient:
-    """Wraps another client and appends every exchange to a transcript file."""
+    """Wraps another client and appends every exchange to a transcript file.
+
+    A batch goes to the inner client whole; its successful exchanges are
+    then written from the caller's thread in request order.
+    """
 
     def __init__(self, inner: ChatClient, path: str | Path):
         self._inner = inner
         self._path = Path(path)
-        self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> str:
         response = self._inner.complete(request)
-        entry = TranscriptEntry(
-            tag=request.tag,
-            prompt_sha256=prompt_sha256(request.prompt),
-            response=response,
-        )
-        with self._lock:
-            with self._path.open("a", encoding="utf-8") as fh:
-                fh.write(transcript_line(entry) + "\n")
+        self._append([(request, response)])
         return response
+
+    def complete_all(self, requests: Sequence[ChatRequest]) -> list[str | CamaError]:
+        results = complete_all(self._inner, requests)
+        self._append(
+            [(req, res) for req, res in zip(requests, results) if isinstance(res, str)]
+        )
+        return results
+
+    def _append(self, exchanges: list[tuple[ChatRequest, str]]) -> None:
+        with self._path.open("a", encoding="utf-8") as fh:
+            for request, response in exchanges:
+                entry = TranscriptEntry(
+                    tag=request.tag,
+                    prompt_sha256=prompt_sha256(request.prompt),
+                    response=response,
+                )
+                fh.write(transcript_line(entry) + "\n")
 
 
 # --- remote client ----------------------------------------------------------
@@ -178,7 +214,8 @@ class HttpChatClient:
     """Chat-completion client for an OpenAI-style HTTP endpoint.
 
     Transient failures (connection errors, 429, 5xx) are retried with
-    jittered exponential backoff up to the request's retry budget.
+    jittered exponential backoff up to the request's retry budget. A batch
+    runs on up to ``in_flight_limit`` threads at once.
     """
 
     api_base: str
@@ -189,10 +226,13 @@ class HttpChatClient:
     transport: Transport = _requests_transport
     sleeper: Callable[[float], None] = time.sleep
     _jitter: random.Random = field(default_factory=lambda: random.Random())
-    _semaphore: threading.Semaphore = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._semaphore = threading.Semaphore(max(1, self.in_flight_limit))
+    def complete_all(self, requests: Sequence[ChatRequest]) -> list[str | CamaError]:
+        if not requests:
+            return []
+        workers = max(1, min(self.in_flight_limit, len(requests)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(functools.partial(_settle, self.complete), requests))
 
     def complete(self, request: ChatRequest) -> str:
         url = self.api_base.rstrip("/") + "/chat/completions"
@@ -211,8 +251,7 @@ class HttpChatClient:
                 delay = (2 ** (attempt - 1)) * (1.0 + self._jitter.random() * 0.25)
                 self.sleeper(delay)
             try:
-                with self._semaphore:
-                    status, body = self.transport(url, headers, payload, self.timeout)
+                status, body = self.transport(url, headers, payload, self.timeout)
             except TransportError as e:
                 last_error = e
                 logger.warning("attempt %d/%d failed: %s", attempt + 1, attempts, e)

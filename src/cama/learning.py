@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .client import ChatClient, ChatRequest
+from .client import ChatClient, ChatRequest, complete_all
 from .discovery import discover_cpdag
 from .errors import CamaError, CycleError, EmptyDataset, UnknownKey
 from .graph import Mcg, graphs_equal, save_graph, verbalize
@@ -30,7 +30,7 @@ from .parsers import (
     parse_extracted_points,
     parse_relation_edits,
 )
-from .reasoning import answer_question, judge_exact
+from .reasoning import answer_questions, judge_exact
 from .templates import render_template
 
 logger = logging.getLogger(__name__)
@@ -126,18 +126,25 @@ def build_dataset(
     A record survives only when the generated answer matches the ground
     truth exactly; failures and wrong answers are dropped and logged.
     """
-    retained: list[QaRecord] = []
     for rec in qa:
         if rec.solution is not None:
             raise ValueError(f"record {rec.id!r} already has a solution")
+    requests = [
+        ChatRequest(
+            prompt=render_template("p_g", {"question": rec.question}),
+            tag="p_g",
+            temperature=temperature,
+        )
+        for rec in qa
+    ]
+    retained: list[QaRecord] = []
+    for rec, raw in zip(qa, complete_all(gateway, requests)):
+        # a returned error is logged, never raised again: a raise would tie
+        # its traceback to this frame, which still holds the error
+        if isinstance(raw, CamaError):
+            logger.warning("dropping %s: generation failed (%s)", rec.id, raw)
+            continue
         try:
-            raw = gateway.complete(
-                ChatRequest(
-                    prompt=render_template("p_g", {"question": rec.question}),
-                    tag="p_g",
-                    temperature=temperature,
-                )
-            )
             parsed = parse_answer(raw)
         except CamaError as e:
             logger.warning("dropping %s: generation failed (%s)", rec.id, e)
@@ -171,20 +178,27 @@ def extract_all(
 
     Parse failures degrade to an empty point list for that record.
     """
-    records: list[ExtractionRecord] = []
-    for rec in qs:
-        prompt = render_template(
-            "p_p",
-            {"question_solution_pairs": _format_qa_pair(rec), "lambda": str(granularity)},
+    requests = [
+        ChatRequest(
+            prompt=render_template(
+                "p_p",
+                {"question_solution_pairs": _format_qa_pair(rec), "lambda": str(granularity)},
+            ),
+            tag="p_p",
+            temperature=temperature,
         )
-        try:
-            raw = gateway.complete(
-                ChatRequest(prompt=prompt, tag="p_p", temperature=temperature)
-            )
-            points = parse_extracted_points(raw, granularity).points
-        except CamaError as e:
-            logger.warning("extraction failed for %s: %s", rec.id, e)
-            points = ()
+        for rec in qs
+    ]
+    records: list[ExtractionRecord] = []
+    for rec, raw in zip(qs, complete_all(gateway, requests)):
+        points = ()
+        if isinstance(raw, CamaError):
+            logger.warning("extraction failed for %s: %s", rec.id, raw)
+        else:
+            try:
+                points = parse_extracted_points(raw, granularity).points
+            except CamaError as e:
+                logger.warning("extraction failed for %s: %s", rec.id, e)
         records.append(ExtractionRecord(qa_id=rec.id, points=points))
     return records
 
@@ -331,12 +345,8 @@ def apply_relation_edits(
             )
             rejected += 1
             continue
-        if graphs_equal(candidate, g):
-            applied += 1  # no-op edit still counts as accepted
-        else:
-            applied += 1
-            g = candidate
-            index = g.key_index()
+        applied += 1  # a no-op edit still counts as accepted
+        g = candidate
     return g, applied, rejected, skipped
 
 
@@ -355,17 +365,16 @@ def run_alignment_round(
     """
     if not batch:
         raise ValueError("alignment batch is empty")
-    quadruples: list[RoundQuadruple] = []
-    for rec in batch:
-        outcome = answer_question(g, rec, gateway, temperature=temperature)
-        quadruples.append(
-            RoundQuadruple(
-                question=rec.question,
-                solution=rec.solution,
-                subgraph=outcome.subgraph,
-                correct=outcome.correct,
-            )
+    outcomes = answer_questions(g, batch, gateway, temperature=temperature)
+    quadruples = [
+        RoundQuadruple(
+            question=rec.question,
+            solution=rec.solution,
+            subgraph=outcome.subgraph,
+            correct=outcome.correct,
         )
+        for rec, outcome in zip(batch, outcomes)
+    ]
     precision = sum(q.correct for q in quadruples) / len(quadruples)
 
     correct_part = [q for q in quadruples if q.correct]
@@ -406,11 +415,8 @@ def run_alignment_round(
 def _subset_precision(
     g: Mcg, subset: list[QaRecord], gateway: ChatClient, temperature: float
 ) -> float:
-    correct = sum(
-        answer_question(g, rec, gateway, temperature=temperature).correct
-        for rec in subset
-    )
-    return correct / len(subset)
+    outcomes = answer_questions(g, subset, gateway, temperature=temperature)
+    return sum(o.correct for o in outcomes) / len(subset)
 
 
 def align(

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .client import ChatClient, ChatRequest
+from .client import ChatClient, ChatRequest, complete_all
 from .errors import CamaError, EmptyTestSet
 from .graph import Mcg, extract_subgraph, verbalize
 from .model import QaRecord
@@ -111,6 +111,107 @@ def _format_question_think(question: str, trace: str) -> str:
     return f"{question}\n\n{trace}"
 
 
+def answer_questions(
+    g: Mcg,
+    records: list[QaRecord],
+    gateway: ChatClient,
+    temperature: float = 0.6,
+    judge: Judge = judge_exact,
+) -> list[ReasoningOutcome]:
+    """Run the trace / subgraph-match / answer pipeline for each question.
+
+    Questions are independent, so each step is sent as one batch for all
+    questions still standing; a question that fails a step sends no
+    further calls. Outcomes come back in record order.
+    """
+    n = len(records)
+    traces = [""] * n
+    chosen: list[frozenset[int]] = [frozenset()] * n
+    subgraphs = [extract_subgraph(g, ())] * n
+    raw_answers = [""] * n
+    failures: dict[int, str] = {}
+
+    def fail(i: int, error: CamaError) -> None:
+        logger.warning("question %s failed: %s", records[i].id, error)
+        failures[i] = f"{type(error).__name__}: {error}"
+
+    def ask(tag: str, prompts: dict[int, str]) -> dict[int, str]:
+        requests = [
+            ChatRequest(prompt=p, tag=tag, temperature=temperature)
+            for p in prompts.values()
+        ]
+        replies = {}
+        for i, result in zip(prompts, complete_all(gateway, requests)):
+            if isinstance(result, CamaError):
+                fail(i, result)
+            else:
+                replies[i] = result
+        return replies
+
+    trace_prompts = {
+        i: render_template("p_t", {"question": q.question})
+        for i, q in enumerate(records)
+    }
+    for i, trace in ask("p_t", trace_prompts).items():
+        traces[i] = trace
+
+    elements = verbalize(g).elements_text()
+    match_prompts = {
+        i: render_template(
+            "p_m",
+            {
+                "question_think": _format_question_think(records[i].question, traces[i]),
+                "knowledge_point_descriptions": elements,
+            },
+        )
+        for i in range(n)
+        if i not in failures
+    }
+    answer_prompts = {}
+    for i, match_raw in ask("p_m", match_prompts).items():
+        try:
+            chosen[i] = frozenset(parse_chosen_factors(match_raw, g.k))
+        except CamaError as e:
+            fail(i, e)
+            continue
+        subgraphs[i] = extract_subgraph(g, chosen[i])
+        sub_view = verbalize(subgraphs[i])
+        answer_prompts[i] = render_template(
+            "p_a",
+            {
+                "question": records[i].question,
+                "chosen_knowledge_points": sub_view.elements_text(),
+                "knowledge_point_relations": sub_view.relations_text(),
+            },
+        )
+
+    parsed = {}
+    for i, raw_answer in ask("p_a", answer_prompts).items():
+        raw_answers[i] = raw_answer
+        try:
+            parsed[i] = parse_answer(raw_answer).answer
+        except CamaError as e:
+            fail(i, e)
+
+    outcomes = []
+    for i, q in enumerate(records):
+        answer = parsed.get(i, "")
+        outcomes.append(
+            ReasoningOutcome(
+                qa_id=q.id,
+                trace=traces[i],
+                chosen=chosen[i],
+                subgraph=subgraphs[i],
+                raw_answer=raw_answers[i],
+                parsed_answer=answer,
+                correct=i in parsed and bool(q.answer) and judge(answer, q.answer),
+                failed=i in failures,
+                failure=failures.get(i),
+            )
+        )
+    return outcomes
+
+
 def answer_question(
     g: Mcg,
     q: QaRecord,
@@ -119,70 +220,7 @@ def answer_question(
     judge: Judge = judge_exact,
 ) -> ReasoningOutcome:
     """Run the trace / subgraph-match / answer pipeline for one question."""
-    trace = ""
-    chosen: set[int] = set()
-    subgraph = extract_subgraph(g, ())
-    raw_answer = ""
-    try:
-        trace = gateway.complete(
-            ChatRequest(
-                prompt=render_template("p_t", {"question": q.question}),
-                tag="p_t",
-                temperature=temperature,
-            )
-        )
-
-        full_view = verbalize(g)
-        match_prompt = render_template(
-            "p_m",
-            {
-                "question_think": _format_question_think(q.question, trace),
-                "knowledge_point_descriptions": full_view.elements_text(),
-            },
-        )
-        match_raw = gateway.complete(
-            ChatRequest(prompt=match_prompt, tag="p_m", temperature=temperature)
-        )
-        chosen = parse_chosen_factors(match_raw, g.k)
-        subgraph = extract_subgraph(g, chosen)
-
-        sub_view = verbalize(subgraph)
-        answer_prompt = render_template(
-            "p_a",
-            {
-                "question": q.question,
-                "chosen_knowledge_points": sub_view.elements_text(),
-                "knowledge_point_relations": sub_view.relations_text(),
-            },
-        )
-        raw_answer = gateway.complete(
-            ChatRequest(prompt=answer_prompt, tag="p_a", temperature=temperature)
-        )
-        parsed = parse_answer(raw_answer)
-    except CamaError as e:
-        logger.warning("question %s failed: %s", q.id, e)
-        return ReasoningOutcome(
-            qa_id=q.id,
-            trace=trace,
-            chosen=frozenset(chosen),
-            subgraph=subgraph,
-            raw_answer=raw_answer,
-            parsed_answer="",
-            correct=False,
-            failed=True,
-            failure=f"{type(e).__name__}: {e}",
-        )
-
-    correct = judge(parsed.answer, q.answer) if q.answer else False
-    return ReasoningOutcome(
-        qa_id=q.id,
-        trace=trace,
-        chosen=frozenset(chosen),
-        subgraph=subgraph,
-        raw_answer=raw_answer,
-        parsed_answer=parsed.answer,
-        correct=correct,
-    )
+    return answer_questions(g, [q], gateway, temperature=temperature, judge=judge)[0]
 
 
 def evaluate(
@@ -199,20 +237,13 @@ def evaluate(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
 
-    outcomes: list[tuple[int, int, ReasoningOutcome]] = []
-    for qi, record in enumerate(test):
-        for rep in range(repetitions):
-            outcome = answer_question(
-                g, record, gateway, temperature=temperature, judge=judge
-            )
-            outcomes.append((qi, rep, outcome))
-
-    outcomes.sort(key=lambda item: (item[0], item[1]))
+    cells = [record for record in test for _ in range(repetitions)]
+    outcomes = answer_questions(g, cells, gateway, temperature=temperature, judge=judge)
     total = len(outcomes)
-    correct = sum(1 for _, _, o in outcomes if o.correct)
-    matched = [len(o.chosen) for _, _, o in outcomes if o.chosen]
+    correct = sum(1 for o in outcomes if o.correct)
+    matched = [len(o.chosen) for o in outcomes if o.chosen]
     per_question = tuple(
-        {"repetition": rep, **o.summary()} for _, rep, o in outcomes
+        {"repetition": i % repetitions, **o.summary()} for i, o in enumerate(outcomes)
     )
     return EvalReport(
         n=len(test),

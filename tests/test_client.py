@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 
 import pytest
 
@@ -8,6 +10,7 @@ from cama.client import (
     RecordingClient,
     ScriptedChatClient,
     TranscriptEntry,
+    complete_all,
     load_transcript,
     prompt_sha256,
     transcript_line,
@@ -193,3 +196,67 @@ class TestHttpClient:
 
         with pytest.raises(TransportError):
             self.client(weird).complete(ChatRequest(prompt="q", tag="p_t"))
+
+
+class TestCompleteAll:
+    LIMIT = 3
+
+    def staggered(self):
+        """Client whose transport answers later requests sooner, refuses
+        req-4, and records the peak number of calls in flight at once."""
+        lock = threading.Lock()
+        state = {"now": 0, "peak": 0}
+
+        def transport(url, headers, payload, timeout):
+            prompt = payload["messages"][0]["content"]
+            with lock:
+                state["now"] += 1
+                state["peak"] = max(state["peak"], state["now"])
+            time.sleep(0.002 * (10 - int(prompt.split("-")[1])))
+            with lock:
+                state["now"] -= 1
+            if prompt == "req-4":
+                return 400, "bad"
+            return 200, ok_body(f"resp-{prompt}")
+
+        client = HttpChatClient(
+            api_base="http://api.test", model="m", transport=transport,
+            sleeper=lambda s: None, in_flight_limit=self.LIMIT,
+        )
+        return client, state
+
+    def requests(self):
+        return [ChatRequest(prompt=f"req-{i}", tag="p_t") for i in range(8)]
+
+    def test_http_results_in_request_order_within_limit(self):
+        client, state = self.staggered()
+        results = complete_all(client, self.requests())
+        assert results[:4] + results[5:] == [
+            f"resp-req-{i}" for i in range(8) if i != 4
+        ]
+        assert isinstance(results[4], TransportError)
+        assert 1 < state["peak"] <= self.LIMIT
+
+    def test_recording_writes_request_order(self, tmp_path):
+        client, state = self.staggered()
+        path = tmp_path / "rec.jsonl"
+        complete_all(RecordingClient(client, path), self.requests())
+        assert load_transcript(path) == [
+            entry("p_t", f"req-{i}", f"resp-req-{i}") for i in range(8) if i != 4
+        ]
+        assert state["peak"] > 1
+
+    def test_plain_client_called_in_order(self):
+        scripted = ScriptedChatClient(
+            [entry("p_t", "same", "first"), entry("p_t", "same", "second")]
+        )
+        requests = [ChatRequest(prompt="same", tag="p_t")] * 3
+        first, second, missing = complete_all(scripted, requests)
+        assert (first, second) == ("first", "second")
+        assert isinstance(missing, ScriptMismatch)
+        assert missing.__traceback__ is None
+
+    def test_empty_batch(self):
+        client, state = self.staggered()
+        assert complete_all(client, []) == []
+        assert state["peak"] == 0

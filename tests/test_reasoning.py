@@ -1,9 +1,16 @@
+import gc
+import itertools
+import json
+import logging
+import threading
+import time
+
 import pytest
 
 from conftest import make_corpus
 from fake_llm import FakeLlm
 
-from cama.client import ChatRequest
+from cama.client import ChatRequest, HttpChatClient, RecordingClient, ScriptedChatClient
 from cama.errors import EmptyTestSet, TransportError
 from cama.graph import Mcg, empty_graph, extract_subgraph, graphs_equal
 from cama.model import KnowledgePoint, QaRecord
@@ -204,3 +211,80 @@ class TestEvaluate:
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["n"] == 4
         assert doc["matched_stats"]["matched_fraction"] == 1.0
+
+
+def endpoint_client(refuse=lambda tag, prompt: False):
+    """HttpChatClient over an in-process endpoint that answers like FakeLlm,
+    except for p_m: it picks one factor from a shared draw counter, and the
+    first caller of each p_m prompt is delayed, so identical prompts complete
+    out of request order and get different replies. The connection drops
+    on every request that ``refuse`` names."""
+    fake = FakeLlm()
+    lock = threading.Lock()
+    seen: set[str] = set()
+    draws = itertools.count()
+
+    def transport(url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        tag = "p_m" if prompt.startswith("# Problem") else (
+            "p_a" if prompt.startswith("# Question:") else "p_t"
+        )
+        if refuse(tag, prompt):
+            raise TransportError("socket closed")
+        if tag != "p_m":
+            reply = fake.complete(ChatRequest(prompt=prompt, tag=tag))
+        else:
+            with lock:
+                first = prompt not in seen
+                seen.add(prompt)
+            time.sleep(0.03 if first else 0.0)
+            with lock:
+                reply = f"**The chosen factors are: [{1 + next(draws) % 3}].**"
+        return 200, json.dumps({"choices": [{"message": {"content": reply}}]})
+
+    return HttpChatClient(
+        api_base="http://api.test", model="m", transport=transport, sleeper=lambda s: None
+    )
+
+
+class TestFanOut:
+    def corpus(self):
+        return make_corpus([(f"q{i:02d}", i, i, ["alpha"]) for i in range(6)])
+
+    def test_record_then_replay_with_repetitions(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        recorded = evaluate(
+            guided_graph(), self.corpus(), RecordingClient(endpoint_client(), path),
+            repetitions=2,
+        )
+        replay = ScriptedChatClient.from_file(path)
+        replayed = evaluate(guided_graph(), self.corpus(), replay, repetitions=2)
+        assert replayed == recorded
+        assert replay.pending() == 0
+
+    def test_one_failed_request_fails_only_its_cell(self):
+        client = endpoint_client(lambda tag, prompt: tag == "p_a" and "Problem q03:" in prompt)
+        report = evaluate(guided_graph(), self.corpus(), client, repetitions=1)
+        failed = [c for c in report.per_question if c["failed"]]
+        assert [c["qa_id"] for c in failed] == ["q03"]
+        assert failed[0]["failure"] == "TransportError: socket closed"
+        assert failed[0]["chosen"]  # the earlier steps of that cell succeeded
+        assert report.total_cells - report.correct_cells == 1
+
+    def test_failed_calls_leave_no_reference_cycles(self, caplog):
+        # a failure kept with its traceback ties up the frames it passed
+        # through until a full collection runs; captured log records would
+        # keep such cycles reachable, so none are made
+        caplog.set_level(logging.CRITICAL)
+        no_match = lambda tag, prompt: tag == "p_m"
+        evaluate(guided_graph(), self.corpus(), endpoint_client(no_match), repetitions=2)
+        gc.collect()
+        gc.disable()
+        try:
+            report = evaluate(
+                guided_graph(), self.corpus(), endpoint_client(no_match), repetitions=2
+            )
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert all(c["failed"] for c in report.per_question)
