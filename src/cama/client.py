@@ -268,7 +268,11 @@ class HttpChatClient:
                 raise TransportError(f"endpoint returned status {status}: {body[:200]}")
             return self._extract_content(body)
         assert last_error is not None
-        raise last_error
+        try:
+            raise last_error
+        finally:
+            # the error's traceback holds this frame: a cycle if kept here
+            last_error = None
 
     @staticmethod
     def _extract_content(body: str) -> str:

@@ -51,13 +51,14 @@ def g_squared_ci_test(
 ) -> CiTestResult:
     """G-squared conditional independence test of columns x and y given s.
 
-    Rows are stratified by the joint configuration of the conditioning
-    columns. Within each stratum the 2x2 (x, y) table contributes
-    2 * sum(O * ln(O / E)) with expectations from the stratum margins;
-    zero observed counts contribute nothing. A stratum counts one degree
-    of freedom only when both x and y take both values in it; strata with
-    a zero margin add nothing to statistic or dof. With zero total dof the
-    pair is declared independent.
+    Each row gets the code (x << 1) | y | sum(s_i << (i + 2)), s_i the i-th
+    column of sorted(s), and one bincount of the codes gives the 2x2 (x, y)
+    table of every stratum (code >> 2) in ascending stratum order. When the
+    possible strata (2**|s|) outnumber the rows, the strata present are
+    first renumbered in ascending order. Each table adds 2 * sum(O * ln(O/E))
+    with E from its margins, zero O adding nothing, and one degree of
+    freedom, unless x or y is constant in it; terms are summed in stratum
+    order. With zero total dof the pair is declared independent.
     """
     s = frozenset(s)
     k = z.cols
@@ -71,39 +72,32 @@ def g_squared_ci_test(
     if len(s) > 30:
         raise StratumOverflow(f"conditioning set of size {len(s)} exceeds 30")
 
-    xcol = z.cells[:, x].astype(np.int64)
-    ycol = z.cells[:, y].astype(np.int64)
-    if s:
-        scols = z.cells[:, sorted(s)].astype(np.int64)
-        weights = np.left_shift(1, np.arange(len(s), dtype=np.int64))
-        strata = scols @ weights
-        _, strata = np.unique(strata, return_inverse=True)
-    else:
-        strata = np.zeros(z.rows, dtype=np.int64)
-    n_strata = int(strata.max()) + 1 if z.rows else 0
+    # with at most 30 conditioning columns every code fits in 32 bits
+    flat = np.left_shift(z.cells[:, x], 1, dtype=np.uint32)
+    flat |= z.cells[:, y]
+    for bit, col in enumerate(sorted(s), start=2):
+        flat |= np.left_shift(z.cells[:, col], bit, dtype=np.uint32)
+    n_strata = 1 << len(s)
+    if n_strata > z.rows:
+        present, strata = np.unique(flat >> 2, return_inverse=True)
+        flat = (strata << 2) | (flat & 3)
+        n_strata = len(present)
+    counts = np.bincount(flat, minlength=4 * n_strata).reshape(n_strata, 2, 2)
 
-    flat = strata * 4 + xcol * 2 + ycol
-    counts = np.bincount(flat, minlength=n_strata * 4).reshape(n_strata, 2, 2)
-
-    statistic = 0.0
-    dof = 0
-    for table in counts:
-        row = table.sum(axis=1)
-        col = table.sum(axis=0)
-        total = table.sum()
-        if row.min() == 0 or col.min() == 0:
-            continue
-        dof += 1
-        expected = np.outer(row, col) / total
-        observed = table.astype(np.float64)
-        mask = observed > 0
-        statistic += 2.0 * float(
-            (observed[mask] * np.log(observed[mask] / expected[mask])).sum()
-        )
-
+    x_margin = counts.sum(axis=2)
+    y_margin = counts.sum(axis=1)
+    live = (np.minimum(x_margin, y_margin) > 0).all(axis=1)
+    dof = int(np.count_nonzero(live))
     if dof == 0:
         return CiTestResult(statistic=0.0, dof=0, p_value=1.0, independent=True)
-    statistic = max(statistic, 0.0)
+    table = counts[live]
+    margins = x_margin[live][:, :, None] * y_margin[live][:, None, :]
+    expected = margins / table.sum(axis=(1, 2))[:, None, None]
+    observed = table.astype(np.float64)
+    ratio = np.where(table > 0, observed / expected, 1.0)
+    terms = (observed * np.log(ratio)).reshape(dof, 4).sum(axis=1)
+    # a running sum in stratum order, as a loop over the strata would add
+    statistic = max(float(np.cumsum(2.0 * terms)[-1]), 0.0)
     p_value = chi2_sf(statistic, dof)
     return CiTestResult(
         statistic=statistic, dof=dof, p_value=p_value, independent=p_value > alpha

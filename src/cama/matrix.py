@@ -14,14 +14,17 @@ from .errors import ParseError
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Dense n x k matrix of {0,1}: row per QA pair, column per knowledge point."""
+    """Dense n x k matrix of {0,1}: row per QA pair, column per knowledge point.
+
+    ``cells`` is a read-only column-major ``uint8`` copy: a column is contiguous.
+    """
 
     cells: np.ndarray
     row_ids: tuple[str, ...]
     col_keys: tuple[str, ...]
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.uint8).copy()
+        cells = np.array(self.cells, dtype=np.uint8, order="F")
         if cells.ndim != 2:
             raise ValueError("cells must be a 2-D array")
         if not np.isin(cells, (0, 1)).all():
@@ -45,9 +48,6 @@ class IncidenceMatrix:
     @property
     def cols(self) -> int:
         return self.cells.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.cells[:, j]
 
     def to_csv(self) -> str:
         buf = io.StringIO()

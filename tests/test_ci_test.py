@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cama.discovery import chi2_sf, g_squared_ci_test
+from cama.discovery import (
+    CiTestResult,
+    chi2_sf,
+    cpdag_from_ci,
+    discover_cpdag,
+    g_squared_ci_test,
+)
 from cama.errors import ColumnOutOfRange, StratumOverflow
+from cama.graph import serialize_graph
 from cama.matrix import IncidenceMatrix
+from cama.model import KnowledgePoint
+from cama.oracle import random_true_dag, sample_incidence
 
 
 def matrix_from_counts(counts: dict[tuple[int, ...], int], k: int) -> IncidenceMatrix:
@@ -45,6 +54,61 @@ def g2_reference(cells, x, y, s):
                 if o:
                     stat += 2.0 * o * math.log(o * n / (rx[a] * ry[b]))
     return stat, dof
+
+
+def g2_stratum_loop(z, x, y, s, alpha):
+    """G-squared as a loop over the strata that np.unique finds: the
+    reference for the vectorised kernel. It adds the same terms in the same
+    order, so the two agree to the last bit."""
+    xcol = z.cells[:, x].astype(np.int64)
+    ycol = z.cells[:, y].astype(np.int64)
+    if s:
+        scols = z.cells[:, sorted(s)].astype(np.int64)
+        weights = np.left_shift(1, np.arange(len(s), dtype=np.int64))
+        _, strata = np.unique(scols @ weights, return_inverse=True)
+    else:
+        strata = np.zeros(z.rows, dtype=np.int64)
+    n_strata = int(strata.max()) + 1 if z.rows else 0
+    flat = strata * 4 + xcol * 2 + ycol
+    counts = np.bincount(flat, minlength=n_strata * 4).reshape(n_strata, 2, 2)
+
+    statistic = 0.0
+    dof = 0
+    for table in counts:
+        row = table.sum(axis=1)
+        col = table.sum(axis=0)
+        if row.min() == 0 or col.min() == 0:
+            continue
+        dof += 1
+        expected = np.outer(row, col) / table.sum()
+        observed = table.astype(np.float64)
+        mask = observed > 0
+        statistic += 2.0 * float(
+            (observed[mask] * np.log(observed[mask] / expected[mask])).sum()
+        )
+    if dof == 0:
+        return CiTestResult(statistic=0.0, dof=0, p_value=1.0, independent=True)
+    statistic = max(statistic, 0.0)
+    p_value = chi2_sf(statistic, dof)
+    return CiTestResult(statistic, dof, p_value, p_value > alpha)
+
+
+def sweep_matrix(rng, rows: int, size: int, kind: str) -> IncidenceMatrix:
+    """Columns x=0, y=1 and conditioning columns 2..size+1. Column 1 copies
+    column 0 in about half the rows, so both decisions occur."""
+    k = size + 2
+    if kind == "mixed":  # constant columns among sparse and dense ones
+        p = rng.choice([0.0, 0.05, 0.5, 0.95, 1.0], size=k)
+    else:
+        p = np.full(k, {"sparse": 0.05, "dense": 0.5}[kind])
+    cells = (rng.random((rows, k)) < p).astype(np.uint8)
+    copy = rng.random(rows) < 0.5
+    cells[copy, 1] = cells[copy, 0]
+    return IncidenceMatrix(
+        cells=cells,
+        row_ids=tuple(map(str, range(rows))),
+        col_keys=tuple(f"c{i}" for i in range(k)),
+    )
 
 
 # 2 * (80 * ln 1.6 + 20 * ln 0.4), evaluated by hand
@@ -129,6 +193,75 @@ class TestGSquared:
         z = matrix_from_counts({(0, 1): 5, (1, 0): 5}, 2)
         with pytest.raises(ValueError):
             g_squared_ci_test(z, 0, 1, frozenset(), alpha=0.0)
+
+    @pytest.mark.parametrize("rows", [1, 5, 40, 300, 3000, 20000])
+    def test_matches_stratum_loop(self, rows):
+        # with 1, 5 and 40 rows the larger s have more possible strata than
+        # rows, so the kernel renumbers the strata present
+        rng = np.random.default_rng(rows)
+        for size in range(9):
+            for kind in ("sparse", "dense", "mixed"):
+                z = sweep_matrix(rng, rows, size, kind)
+                s = frozenset(range(2, size + 2))
+                got = g_squared_ci_test(z, 0, 1, s, alpha=0.05)
+                want = g2_stratum_loop(z, 0, 1, s, alpha=0.05)
+                case = (rows, size, kind)
+                assert (got.dof, got.independent) == (want.dof, want.independent), case
+                assert got.statistic == pytest.approx(want.statistic, rel=1e-9, abs=0), case
+                assert got.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0), case
+
+    def test_zero_margin_strata_add_nothing(self):
+        # columns (x, y, c2, c3): x is constant where c2=c3=0, y where
+        # c2=1, c3=0; both vary where c2=0, c3=1; no row has c2=c3=1
+        z = matrix_from_counts(
+            {(1, 1, 0, 0): 9, (1, 0, 0, 0): 3, (1, 1, 1, 0): 4, (0, 1, 1, 0): 6,
+             (1, 1, 0, 1): 8, (0, 1, 0, 1): 2, (1, 0, 0, 1): 1, (0, 0, 0, 1): 5},
+            4,
+        )
+        got = g_squared_ci_test(z, 0, 1, frozenset({2, 3}), alpha=0.05)
+        assert got == g2_stratum_loop(z, 0, 1, frozenset({2, 3}), alpha=0.05)
+        assert got.dof == 1
+
+    def test_thirty_conditioning_columns(self):
+        # four strata of about 50 rows, told apart by the top conditioning
+        # column too, which takes the code's highest bit
+        rng = np.random.default_rng(30)
+        patterns = (rng.random((4, 30)) < 0.5).astype(np.uint8)
+        patterns[:, -1] = (0, 1, 0, 1)
+        cells = np.zeros((200, 32), dtype=np.uint8)
+        cells[:, :2] = rng.random((200, 2)) < 0.5
+        cells[:, 2:] = patterns[rng.integers(0, 4, size=200)]
+        z = IncidenceMatrix(
+            cells=cells,
+            row_ids=tuple(map(str, range(200))),
+            col_keys=tuple(f"c{i}" for i in range(32)),
+        )
+        s = frozenset(range(2, 32))
+        result = g_squared_ci_test(z, 0, 1, s, alpha=0.05)
+        assert result == g2_stratum_loop(z, 0, 1, s, 0.05)
+        assert result.dof == len({row.tobytes() for row in patterns})
+
+    def test_zero_rows(self):
+        z = IncidenceMatrix(
+            cells=np.zeros((0, 4), dtype=np.uint8),
+            row_ids=(),
+            col_keys=tuple(f"c{i}" for i in range(4)),
+        )
+        for s in (frozenset(), frozenset({2}), frozenset({2, 3})):
+            result = g_squared_ci_test(z, 0, 1, s, alpha=0.05)
+            assert result == CiTestResult(statistic=0.0, dof=0, p_value=1.0, independent=True)
+
+
+@pytest.mark.parametrize("k", [10, 20])
+@pytest.mark.parametrize("rows", [2000, 20000])
+def test_cpdag_bytes_match_stratum_loop(k, rows):
+    for seed in range(3):
+        z = sample_incidence(random_true_dag(k, 2 / (k - 1), seed=seed), rows, seed=seed)
+        points = tuple(KnowledgePoint(key=key) for key in z.col_keys)
+        reference = cpdag_from_ci(
+            k, lambda u, v, s: g2_stratum_loop(z, u, v, s, 0.05).independent, points
+        )
+        assert serialize_graph(discover_cpdag(z)) == serialize_graph(reference), seed
 
 
 class TestChiSquareSurvival:

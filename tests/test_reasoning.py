@@ -288,3 +288,26 @@ class TestFanOut:
         finally:
             gc.enable()
         assert all(c["failed"] for c in report.per_question)
+
+    def test_failed_single_call_leaves_no_reference_cycle(self, tmp_path, caplog):
+        # the single-call paths (dedup, update) raise the error of the last
+        # retry straight from HttpChatClient.complete
+        caplog.set_level(logging.CRITICAL)
+        request = ChatRequest(prompt="q01", tag="p_t")
+        refuse_all = endpoint_client(lambda tag, prompt: True)
+        clients = (refuse_all, RecordingClient(refuse_all, tmp_path / "t.jsonl"))
+
+        def fail(client) -> str:
+            try:
+                client.complete(request)
+            except TransportError as e:
+                return str(e)
+            return "no error"
+
+        gc.collect()
+        gc.disable()
+        try:
+            assert [fail(c) for c in clients] == ["socket closed"] * 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
