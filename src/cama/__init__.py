@@ -3,7 +3,6 @@ points from QA corpora and use task-relevant subgraphs to guide answering."""
 
 from .graph import (
     Mcg,
-    add_directed_edge,
     deserialize_graph,
     export_dot,
     extract_subgraph,
@@ -20,7 +19,6 @@ __all__ = [
     "Mcg",
     "QaRecord",
     "ReplacementMap",
-    "add_directed_edge",
     "deserialize_graph",
     "export_dot",
     "extract_subgraph",

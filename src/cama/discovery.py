@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .errors import ColumnOutOfRange, StratumOverflow
-from .graph import Mcg, topological_order
+from .graph import GraphBuilder, Mcg
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint
 
@@ -194,19 +194,6 @@ def skeleton_from_ci(
     return Skeleton(adjacency=adjacency, sepsets=sepsets)
 
 
-def pc_skeleton(
-    z: IncidenceMatrix, alpha: float = DEFAULT_ALPHA, max_cond_size: int | None = None
-) -> Skeleton:
-    """PC skeleton of the incidence matrix under the G-squared test."""
-    if z.cols < 1 or z.rows < 1:
-        raise ValueError("incidence matrix must have at least one row and column")
-
-    def independent(u: int, v: int, s: frozenset) -> bool:
-        return g_squared_ci_test(z, u, v, s, alpha).independent
-
-    return skeleton_from_ci(z.cols, independent, max_cond_size=max_cond_size)
-
-
 def _placeholder_points(k: int) -> tuple[KnowledgePoint, ...]:
     return tuple(KnowledgePoint(key=f"x{i}") for i in range(k))
 
@@ -220,21 +207,18 @@ def _assemble(
 
     Directed edges are inserted in orientation order; an edge that would
     close a directed cycle is downgraded back to undirected and logged.
+    No pair may appear in ``oriented`` in both directions.
     """
-    accepted: list[tuple[int, int]] = []
-    und = {(min(a, b), max(a, b)) for a, b in undirected}
+    builder = GraphBuilder(len(points), undirected=undirected)
     for u, v in oriented:
-        if topological_order(len(points), accepted + [(u, v)]) is None:
+        if builder.closes_cycle(u, v):
             logger.warning(
                 "downgrading %d->%d to undirected: orientation closes a cycle", u, v
             )
-            und.add((min(u, v), max(u, v)))
+            builder.set_pair(u, v, "undirected")
         else:
-            accepted.append((u, v))
-    und -= {(min(u, v), max(u, v)) for u, v in accepted}
-    return Mcg(
-        nodes=tuple(points), directed=frozenset(accepted), undirected=frozenset(und)
-    )
+            builder.set_pair(u, v, "directed")
+    return builder.freeze(points)
 
 
 def orient_v_structures(
@@ -294,57 +278,43 @@ def meek_closure(g: Mcg) -> Mcg:
     Rules are swept in order R1..R4 with a deterministic edge scan until a
     full pass changes nothing.
     """
-    k = g.k
-    directed = set(g.directed)
-    undirected = set(g.undirected)
+    pdag = GraphBuilder(g.k, g.directed, g.undirected)
+    parents, children, neighbors = pdag.parents, pdag.children, pdag.neighbors
+    adjacent = pdag.adjacent
     oriented: list[tuple[int, int]] = sorted(g.directed)
 
-    def adjacent(a: int, b: int) -> bool:
-        return (
-            (a, b) in directed
-            or (b, a) in directed
-            or (min(a, b), max(a, b)) in undirected
-        )
-
     def orient(a: int, b: int) -> None:
-        undirected.discard((min(a, b), max(a, b)))
-        directed.add((a, b))
+        pdag.set_pair(a, b, "directed")
         oriented.append((a, b))
 
     def r1_fires(b: int, c: int) -> bool:
-        return any(
-            (a, b) in directed and not adjacent(a, c) for a in range(k) if a != c
-        )
+        return any(not adjacent(a, c) for a in parents[b])
 
     def r2_fires(a: int, c: int) -> bool:
-        return any((a, b) in directed and (b, c) in directed for b in range(k))
+        return not children[a].isdisjoint(parents[c])
 
     def r3_fires(a: int, b: int) -> bool:
-        linked = [
-            c
-            for c in range(k)
-            if (min(a, c), max(a, c)) in undirected and (c, b) in directed
-        ]
-        return any(
-            not adjacent(c, d) for c, d in combinations(linked, 2)
-        )
+        linked = neighbors[a] & parents[b]
+        return any(not adjacent(c, d) for c, d in combinations(linked, 2))
 
     def r4_fires(a: int, b: int) -> bool:
-        for c in range(k):
-            if (min(a, c), max(a, c)) not in undirected or adjacent(c, b):
-                continue
-            for d in range(k):
-                if (c, d) in directed and (d, b) in directed and adjacent(a, d):
-                    return True
-        return False
+        return any(
+            b in children[d] and adjacent(a, d)
+            for c in neighbors[a]
+            if not adjacent(c, b)
+            for d in children[c]
+        )
+
+    def undirected() -> list[tuple[int, int]]:
+        return sorted((u, v) for u, vs in enumerate(neighbors) for v in vs if u < v)
 
     rules = (r1_fires, r2_fires, r3_fires, r4_fires)
     changed = True
     while changed:
         changed = False
         for fires in rules:
-            for u, v in sorted(undirected):
-                if (min(u, v), max(u, v)) not in undirected:
+            for u, v in undirected():
+                if v not in neighbors[u]:
                     continue
                 if fires(u, v):
                     orient(u, v)
@@ -352,7 +322,7 @@ def meek_closure(g: Mcg) -> Mcg:
                 elif fires(v, u):
                     orient(v, u)
                     changed = True
-    return _assemble(g.nodes, oriented, undirected)
+    return _assemble(g.nodes, oriented, set(undirected()))
 
 
 def cpdag_from_ci(

@@ -8,11 +8,7 @@ class CamaError(Exception):
 # --- graph / model ---------------------------------------------------------
 
 class CycleError(CamaError):
-    """Adding a directed edge would close a directed cycle."""
-
-
-class ReverseEdgeError(CamaError):
-    """The opposite directed edge is already present."""
+    """The directed part of a graph contains a cycle."""
 
 
 class ParseError(CamaError):

@@ -2,8 +2,12 @@
 
 Directed edges mean "source is a prerequisite of target"; undirected edges
 mean the two points are associated without a known direction. The directed
-part is always acyclic. Values are immutable; every operation returns a
-new graph.
+part is always acyclic.
+
+``Mcg`` values are immutable, and building one runs the full invariant
+check. Code that edits a graph edge by edge (discovery's orientation steps,
+the alignment loop's relation edits) works on a mutable ``GraphBuilder``
+and freezes it to an ``Mcg`` once, at the boundary.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import CycleError, ParseError, ReverseEdgeError
+from .errors import CycleError, ParseError
 from .model import KnowledgePoint
 
 GRAPH_FORMAT_VERSION = 1
@@ -93,57 +97,77 @@ class Mcg:
     def edge_count(self) -> int:
         return len(self.directed) + len(self.undirected)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Any edge, of either kind, between u and v."""
-        return (
-            (u, v) in self.directed
-            or (v, u) in self.directed
-            or (min(u, v), max(u, v)) in self.undirected
-        )
-
 
 def empty_graph(points: Iterable[KnowledgePoint] = ()) -> Mcg:
     return Mcg(nodes=tuple(points))
 
 
-def add_directed_edge(g: Mcg, u: int, v: int) -> Mcg:
-    """Return g with the directed edge u->v added.
+class GraphBuilder:
+    """Mutable adjacency of a mixed graph over nodes 0..k-1, edited pair by pair.
 
-    An existing undirected {u,v} pair is upgraded to directed. Raises
-    ReverseEdgeError if v->u is present and CycleError if the insertion
-    would close a directed cycle.
+    ``parents``/``children`` hold the directed edges and ``neighbors`` the
+    undirected ones; a pair carries at most one edge. Nothing here checks
+    acyclicity by itself: callers that must stay acyclic ask
+    ``closes_cycle`` before a directed ``set_pair``, and ``freeze`` runs
+    the full ``Mcg`` check.
     """
-    if u == v:
-        raise ValueError("self-loops are not allowed")
-    if not (0 <= u < g.k and 0 <= v < g.k):
-        raise ValueError(f"edge ({u},{v}) out of range for {g.k} nodes")
-    if (v, u) in g.directed:
-        raise ReverseEdgeError(f"{v}->{u} already present; cannot add {u}->{v}")
-    if (u, v) in g.directed:
-        return g
-    if _reaches(g.directed, v, u):
-        raise CycleError(f"adding {u}->{v} closes a directed cycle")
-    return Mcg(
-        nodes=g.nodes,
-        directed=g.directed | {(u, v)},
-        undirected=g.undirected - {(min(u, v), max(u, v))},
-    )
 
+    def __init__(
+        self,
+        k: int,
+        directed: Iterable[tuple[int, int]] = (),
+        undirected: Iterable[tuple[int, int]] = (),
+    ):
+        self.parents: list[set[int]] = [set() for _ in range(k)]
+        self.children: list[set[int]] = [set() for _ in range(k)]
+        self.neighbors: list[set[int]] = [set() for _ in range(k)]
+        for u, v in directed:
+            self.set_pair(u, v, "directed")
+        for u, v in undirected:
+            self.set_pair(u, v, "undirected")
 
-def _reaches(directed: frozenset[tuple[int, int]], src: int, dst: int) -> bool:
-    succ: dict[int, list[int]] = {}
-    for a, b in directed:
-        succ.setdefault(a, []).append(b)
-    stack, seen = [src], {src}
-    while stack:
-        n = stack.pop()
-        if n == dst:
-            return True
-        for m in succ.get(n, ()):
-            if m not in seen:
+    def adjacent(self, a: int, b: int) -> bool:
+        """Any edge, of either kind, between a and b."""
+        return b in self.children[a] or b in self.parents[a] or b in self.neighbors[a]
+
+    def set_pair(self, u: int, v: int, kind: str | None) -> None:
+        """Replace whatever edge joins u and v with u->v ("directed"),
+        u-v ("undirected") or nothing (None)."""
+        for a, b in ((u, v), (v, u)):
+            self.children[a].discard(b)
+            self.parents[b].discard(a)
+            self.neighbors[a].discard(b)
+        if kind == "directed":
+            self.children[u].add(v)
+            self.parents[v].add(u)
+        elif kind == "undirected":
+            self.neighbors[u].add(v)
+            self.neighbors[v].add(u)
+
+    def closes_cycle(self, u: int, v: int) -> bool:
+        """True when replacing the pair's edge with u->v would close a
+        directed cycle, that is when v reaches u without the edge v->u."""
+        stack = [w for w in self.children[v] if w != u]
+        seen = set(stack)
+        while stack:
+            n = stack.pop()
+            if n == u:
+                return True
+            for m in self.children[n] - seen:
                 seen.add(m)
                 stack.append(m)
-    return False
+        return False
+
+    def freeze(self, nodes: Iterable[KnowledgePoint]) -> Mcg:
+        return Mcg(
+            nodes=tuple(nodes),
+            directed=frozenset(
+                (u, v) for u, vs in enumerate(self.children) for v in vs
+            ),
+            undirected=frozenset(
+                (u, v) for u, vs in enumerate(self.neighbors) for v in vs if u < v
+            ),
+        )
 
 
 def extract_subgraph(g: Mcg, selected: Iterable[int]) -> Mcg:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .client import ChatClient, ChatRequest, complete_all
 from .discovery import discover_cpdag
-from .errors import CamaError, CycleError, EmptyDataset, UnknownKey
-from .graph import Mcg, graphs_equal, save_graph, verbalize
+from .errors import CamaError, EmptyDataset, UnknownKey
+from .graph import GraphBuilder, Mcg, graphs_equal, save_graph, verbalize
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint, QaRecord, ReplacementMap
 from .parsers import (
@@ -304,6 +304,9 @@ def _format_history(history: AlignmentHistory) -> str:
     return "\n\n".join(lines)
 
 
+_EDGE_OF_EDIT = {"prerequisite": "directed", "dependent": "undirected"}
+
+
 def apply_relation_edits(
     g: Mcg, edits: list[RelationEdit]
 ) -> tuple[Mcg, int, int, int]:
@@ -316,6 +319,7 @@ def apply_relation_edits(
     """
     applied = rejected = skipped = 0
     index = g.key_index()
+    builder = GraphBuilder(g.k, g.directed, g.undirected)
     for edit in edits:
         ia, ib = index.get(edit.a), index.get(edit.b)
         if ia is None or ib is None or ia == ib:
@@ -325,29 +329,16 @@ def apply_relation_edits(
             )
             skipped += 1
             continue
-        pair = (min(ia, ib), max(ia, ib))
-        directed = set(g.directed) - {(ia, ib), (ib, ia)}
-        undirected = set(g.undirected) - {pair}
-        if edit.kind == "prerequisite":
-            directed.add((ia, ib))
-        elif edit.kind == "dependent":
-            undirected.add(pair)
-        try:
-            candidate = Mcg(
-                nodes=g.nodes,
-                directed=frozenset(directed),
-                undirected=frozenset(undirected),
-            )
-        except CycleError:
+        if edit.kind == "prerequisite" and builder.closes_cycle(ia, ib):
             logger.warning(
                 "rejecting edit %s prerequisite %s: would close a directed cycle",
                 edit.a, edit.b,
             )
             rejected += 1
             continue
+        builder.set_pair(ia, ib, _EDGE_OF_EDIT.get(edit.kind))
         applied += 1  # a no-op edit still counts as accepted
-        g = candidate
-    return g, applied, rejected, skipped
+    return builder.freeze(g.nodes), applied, rejected, skipped
 
 
 def run_alignment_round(

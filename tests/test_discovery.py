@@ -1,13 +1,16 @@
+import logging
+
 import numpy as np
 
 from test_oracle import chain_dag, collider_dag, fork_dag
 
 from cama.discovery import (
+    _assemble,
     cpdag_from_ci,
     discover_cpdag,
+    g_squared_ci_test,
     meek_closure,
     orient_v_structures,
-    pc_skeleton,
     skeleton_from_ci,
     Skeleton,
 )
@@ -27,6 +30,15 @@ from cama.oracle import (
 
 def pts(k):
     return tuple(KnowledgePoint(f"x{i}") for i in range(k))
+
+
+def pc_skeleton(z, alpha):
+    """PC skeleton of the incidence matrix under the G-squared test."""
+
+    def independent(u, v, s):
+        return g_squared_ci_test(z, u, v, s, alpha).independent
+
+    return skeleton_from_ci(z.cols, independent)
 
 
 def skeleton_of(adjacency_pairs, k, sepsets=None):
@@ -125,6 +137,20 @@ class TestOrientVStructures:
         g = orient_v_structures(sk, pts(4))
         assert (1, 2) not in g.directed and (2, 1) not in g.directed
         assert (1, 2) in g.undirected
+
+
+class TestAssemble:
+    def test_cycle_closing_orientation_downgraded(self, caplog):
+        # 0->1 and 1->2 are accepted first, so 2->0 would close a cycle
+        oriented = [(0, 1), (1, 2), (2, 0), (2, 3)]
+        with caplog.at_level(logging.WARNING, logger="cama.discovery"):
+            g = _assemble(pts(4), oriented, {(1, 3)})
+        assert g.directed == {(0, 1), (1, 2), (2, 3)}
+        assert g.undirected == {(0, 2), (1, 3)}
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].msg.startswith("downgrading ")
+        assert warnings[0].getMessage().startswith("downgrading 2->0 ")
 
 
 class TestMeekClosure:

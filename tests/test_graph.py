@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import geometry_points
 
-from cama.errors import CycleError, ParseError, ReverseEdgeError
+from cama.errors import CycleError, ParseError
 from cama.graph import (
+    GraphBuilder,
     Mcg,
-    add_directed_edge,
     deserialize_graph,
     empty_graph,
     export_dot,
@@ -67,40 +67,78 @@ class TestInvariants:
             Mcg(nodes=points(2), directed={(0, 5)})
 
 
+def builder_of(g: Mcg) -> GraphBuilder:
+    return GraphBuilder(g.k, g.directed, g.undirected)
+
+
 class TestAddDirectedEdge:
+    """Directed insertion through GraphBuilder: closes_cycle, then set_pair."""
+
     def test_add_to_empty(self):
-        g = add_directed_edge(empty_graph(points(3)), 0, 1)
+        b = GraphBuilder(3)
+        b.set_pair(0, 1, "directed")
+        g = b.freeze(points(3))
         assert g.directed == {(0, 1)}
         assert g.undirected == frozenset()
 
-    def test_cycle_closure_raises(self):
-        g = Mcg(nodes=points(3), directed={(0, 1), (1, 2)})
-        with pytest.raises(CycleError):
-            add_directed_edge(g, 2, 0)
+    def test_cycle_closure_detected(self):
+        b = builder_of(Mcg(nodes=points(3), directed={(0, 1), (1, 2)}))
+        assert b.closes_cycle(2, 0)
+        assert not b.closes_cycle(0, 2)
 
-    def test_reverse_edge_raises(self):
-        g = Mcg(nodes=points(2), directed={(1, 0)})
-        with pytest.raises(ReverseEdgeError):
-            add_directed_edge(g, 0, 1)
+    def test_reverse_edge_replaced(self):
+        b = builder_of(Mcg(nodes=points(2), directed={(1, 0)}))
+        assert not b.closes_cycle(0, 1)  # the edge 1->0 itself goes away
+        b.set_pair(0, 1, "directed")
+        g = b.freeze(points(2))
+        assert g.directed == {(0, 1)}
+        assert g.undirected == frozenset()
+
+    def test_reverse_edge_with_other_path_closes_cycle(self):
+        b = builder_of(Mcg(nodes=points(3), directed={(1, 0), (1, 2), (2, 0)}))
+        assert b.closes_cycle(0, 1)
 
     def test_undirected_upgraded(self):
-        g = Mcg(nodes=points(2), undirected={(0, 1)})
-        g2 = add_directed_edge(g, 0, 1)
-        assert g2.directed == {(0, 1)}
-        assert g2.undirected == frozenset()
+        b = builder_of(Mcg(nodes=points(2), undirected={(0, 1)}))
+        b.set_pair(0, 1, "directed")
+        g = b.freeze(points(2))
+        assert g.directed == {(0, 1)}
+        assert g.undirected == frozenset()
 
     def test_acyclic_after_random_insertions(self):
         rng = random.Random(11)
-        g = empty_graph(points(6))
+        b = GraphBuilder(6)
+        inserted = refused = 0
         for _ in range(200):
             u, v = rng.randrange(6), rng.randrange(6)
             if u == v:
                 continue
-            try:
-                g = add_directed_edge(g, u, v)
-            except (CycleError, ReverseEdgeError):
+            directed = b.freeze(points(6)).directed - {(v, u)} | {(u, v)}
+            if b.closes_cycle(u, v):
+                assert topological_order(6, directed) is None
+                refused += 1
                 continue
+            b.set_pair(u, v, "directed")
+            inserted += 1
+            g = b.freeze(points(6))  # the Mcg check: raises on a cycle
+            assert g.directed == directed
             assert topological_order(g.k, g.directed) is not None
+        assert inserted > 10 and refused > 10
+
+
+class TestGraphBuilder:
+    def test_set_pair_undirected_and_remove(self):
+        b = builder_of(Mcg(nodes=points(3), directed={(0, 1), (1, 2)}))
+        b.set_pair(2, 1, "undirected")
+        b.set_pair(1, 0, None)
+        assert not b.adjacent(0, 1) and b.adjacent(1, 2) and b.adjacent(2, 1)
+        g = b.freeze(points(3))
+        assert g.directed == frozenset()
+        assert g.undirected == {(1, 2)}
+
+    def test_freeze_round_trips(self):
+        g = Mcg(nodes=points(4), directed={(0, 1), (2, 1)}, undirected={(3, 2)})
+        assert builder_of(g).freeze(g.nodes) == g
 
 
 class TestExtractSubgraph:

@@ -260,6 +260,26 @@ class TestApplyRelationEdits:
         )
         assert graphs_equal(g, g0) and skipped == 1
 
+    def test_one_graph_built_per_call(self, monkeypatch):
+        built = []
+        check = Mcg.__post_init__
+
+        def counting_check(self):
+            built.append(self)
+            check(self)
+
+        g0 = alignment_graph()
+        edits = [
+            RelationEdit("alpha", "prerequisite", "beta"),
+            RelationEdit("beta", "prerequisite", "gamma"),
+            RelationEdit("gamma", "prerequisite", "alpha"),
+            RelationEdit("alpha", "dependent", "gamma"),
+        ]
+        monkeypatch.setattr(Mcg, "__post_init__", counting_check)
+        g, applied, rejected, skipped = apply_relation_edits(g0, edits)
+        assert (applied, rejected, skipped) == (3, 1, 0)
+        assert len(built) == 1 and built[0] is g
+
 
 class _FailOnUpdate:
     """Pass through to a fake for everything but p_u, which dies."""
