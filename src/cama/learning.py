@@ -67,16 +67,20 @@ class AlignmentConfig:
 
 
 class AlignmentHistory:
-    """Ring of the most recent (graph, precision) pairs, capped at r."""
+    """Ring of the most recent (relations text, precision) pairs, capped at r.
+
+    A graph is verbalized once, when it is pushed; the ``p_u`` prompt of
+    every later round reuses the stored text.
+    """
 
     def __init__(self, r: int):
         self.r = r
-        self.entries: list[tuple[Mcg, float]] = []
+        self.entries: list[tuple[str, float]] = []
 
     def push(self, graph: Mcg, precision: float) -> None:
         if not 0.0 <= precision <= 1.0:
             raise ValueError("precision must lie in [0, 1]")
-        self.entries.append((graph, precision))
+        self.entries.append((verbalize(graph).relations_text() or "(none)", precision))
         if len(self.entries) > self.r:
             del self.entries[: len(self.entries) - self.r]
 
@@ -297,11 +301,10 @@ def _format_feedback_entries(quadruples: list[RoundQuadruple]) -> str:
 
 
 def _format_history(history: AlignmentHistory) -> str:
-    lines = []
-    for graph, precision in history.entries:
-        relations = verbalize(graph).relations_text() or "(none)"
-        lines.append(f"## Round precision {precision:.3f}\n{relations}")
-    return "\n\n".join(lines)
+    return "\n\n".join(
+        f"## Round precision {precision:.3f}\n{relations}"
+        for relations, precision in history.entries
+    )
 
 
 _EDGE_OF_EDIT = {"prerequisite": "directed", "dependent": "undirected"}

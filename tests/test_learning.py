@@ -6,7 +6,7 @@ from fake_llm import FakeLlm, update_response
 
 from cama.client import ChatRequest
 from cama.errors import EmptyDataset, TransportError, UnknownKey
-from cama.graph import Mcg, empty_graph, graphs_equal, topological_order
+from cama.graph import Mcg, empty_graph, graphs_equal, topological_order, verbalize
 from cama.learning import (
     AlignmentConfig,
     AlignmentHistory,
@@ -353,6 +353,22 @@ class TestRunAlignmentRound:
         assert "Optimization History" in prompt
         assert "precision 0.250" in prompt
 
+    def test_history_block_is_each_graph_verbalized(self, small_corpus, fake_llm):
+        chained = Mcg(
+            nodes=alignment_graph().nodes,
+            directed=frozenset({(0, 1)}),
+            undirected=frozenset({(1, 2)}),
+        )
+        history = AlignmentHistory(7)
+        history.push(chained, 0.5)
+        history.push(alignment_graph(), 0.25)
+        run_alignment_round(alignment_graph(), small_corpus, history, fake_llm)
+        block = "\n\n".join(
+            f"## Round precision {precision:.3f}\n{verbalize(g).relations_text() or '(none)'}"
+            for g, precision in ((chained, 0.5), (alignment_graph(), 0.25))
+        )
+        assert "# Optimization History (most recent last)\n\n" + block in fake_llm.prompts("p_u")[0]
+
 
 class TestAlign:
     def test_empty_updates_early_stop(self, small_corpus, fake_llm):
@@ -467,6 +483,15 @@ class TestAlignmentHistoryRing:
             h.push(empty_graph(), i / 10)
         assert len(h) == 7
         assert h.entries[0][1] == pytest.approx(0.3)
+
+    def test_entries_hold_relations_text(self):
+        chained = Mcg(
+            nodes=alignment_graph().nodes, directed=frozenset({(0, 1)}), undirected=frozenset()
+        )
+        h = AlignmentHistory(7)
+        h.push(chained, 0.5)
+        h.push(alignment_graph(), 0.25)
+        assert h.entries == [(verbalize(chained).relations_text(), 0.5), ("(none)", 0.25)]
 
     def test_zero_capacity(self):
         h = AlignmentHistory(0)

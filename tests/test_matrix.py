@@ -64,6 +64,20 @@ class TestCsvRoundTrip:
         z.save_csv(tmp_path / "z.csv")
         assert (load_incidence_csv(tmp_path / "z.csv").cells == z.cells).all()
 
+    def test_large_round_trip(self):
+        rng = np.random.default_rng(7)
+        z = IncidenceMatrix(
+            cells=rng.integers(0, 2, size=(20_000, 40), dtype=np.uint8),
+            row_ids=tuple(f"q{i}, part {i % 3}" for i in range(20_000)),
+            col_keys=tuple(f"point {j}" for j in range(40)),
+        )
+        again = incidence_from_csv(z.to_csv())
+        assert np.array_equal(again.cells, z.cells)
+        assert again.row_ids == z.row_ids
+        assert again.col_keys == z.col_keys
+        assert again.cells.flags.f_contiguous
+        assert not again.cells.flags.writeable
+
     def test_missing_id_header_rejected(self):
         with pytest.raises(ParseError):
             incidence_from_csv("area,volume\n1,0\n")
