@@ -5,6 +5,14 @@ level-synchronized PC skeleton search, unshielded colliders are oriented
 conservatively, and the orientation closure rules complete the result to
 a CPDAG. The independence decision is pluggable so an exact d-separation
 oracle can stand in for the statistical test.
+
+With G-squared, the tests of levels 0 and 1 (|S| <= 1) are answered in
+one batch per level from count tables: the columns are packed into bit
+words once, and each cell count of a 2x2 table is the popcount of an AND
+of packed columns. The candidates are enumerated in the same order as the
+one-at-a-time search and the first independent one still wins, so the
+sepsets are unchanged. Larger conditioning sets are tested one at a time,
+lazily.
 """
 
 from __future__ import annotations
@@ -29,6 +37,13 @@ DEFAULT_MAX_COND_SIZE = 8
 
 # decision: True means "independent at level alpha"
 IndependenceTest = Callable[[int, int, frozenset], bool]
+# decision for a level's candidates at once: x (T,), y (T,), s (T, level)
+BatchTest = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+# levels below this are asked of a BatchTest, when one is given
+BATCH_LEVELS = 2
+# packed words per operand in one chunk of a batch, which bounds its memory
+_BATCH_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -39,11 +54,12 @@ class CiTestResult:
     independent: bool
 
 
-def chi2_sf(x: float, dof: int) -> float:
-    """Chi-square survival function via the regularized upper incomplete gamma."""
-    if dof <= 0:
-        return 1.0
-    return float(gammaincc(dof / 2.0, x / 2.0))
+def chi2_sf(x: float | np.ndarray, dof: int | np.ndarray) -> float | np.ndarray:
+    """Chi-square survival function via the regularized upper incomplete gamma.
+
+    Elementwise over arrays, 1 where dof <= 0; scalars give a scalar.
+    """
+    return np.where(np.greater(dof, 0), gammaincc(dof / 2.0, x / 2.0), 1.0)[()]
 
 
 def g_squared_ci_test(
@@ -55,10 +71,7 @@ def g_squared_ci_test(
     column of sorted(s), and one bincount of the codes gives the 2x2 (x, y)
     table of every stratum (code >> 2) in ascending stratum order. When the
     possible strata (2**|s|) outnumber the rows, the strata present are
-    first renumbered in ascending order. Each table adds 2 * sum(O * ln(O/E))
-    with E from its margins, zero O adding nothing, and one degree of
-    freedom, unless x or y is constant in it; terms are summed in stratum
-    order. With zero total dof the pair is declared independent.
+    first renumbered in ascending order. The statistic is ``_g_squared``'s.
     """
     s = frozenset(s)
     k = z.cols
@@ -81,27 +94,101 @@ def g_squared_ci_test(
     if n_strata > z.rows:
         present, strata = np.unique(flat >> 2, return_inverse=True)
         flat = (strata << 2) | (flat & 3)
-        n_strata = len(present)
-    counts = np.bincount(flat, minlength=4 * n_strata).reshape(n_strata, 2, 2)
+        # a matrix without rows still gets one (empty) stratum
+        n_strata = max(len(present), 1)
+    counts = np.bincount(flat, minlength=4 * n_strata).reshape(1, n_strata, 2, 2)
+    statistic, dof, p_value = _g_squared(counts)
+    return CiTestResult(
+        statistic=float(statistic[0]),
+        dof=int(dof[0]),
+        p_value=float(p_value[0]),
+        independent=bool(p_value[0] > alpha),
+    )
 
-    x_margin = counts.sum(axis=2)
-    y_margin = counts.sum(axis=1)
-    live = (np.minimum(x_margin, y_margin) > 0).all(axis=1)
-    dof = int(np.count_nonzero(live))
-    if dof == 0:
-        return CiTestResult(statistic=0.0, dof=0, p_value=1.0, independent=True)
+
+def _g_squared(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Statistic, dof and p-value of each of T stacked tests.
+
+    ``counts[t, stratum, a, b]`` counts the rows of the stratum with x = a
+    and y = b. A stratum is live when x and y both vary in it; each live
+    stratum adds 2 * sum(O * ln(O/E)), E from its margins and zero O adding
+    nothing, and one degree of freedom. The terms are summed in stratum
+    order, dead strata adding an exact 0.0. A test with zero dof gets
+    statistic 0 and p-value 1, so it is declared independent.
+    """
+    x_margin = counts.sum(axis=3)
+    y_margin = counts.sum(axis=2)
+    live = np.minimum(x_margin, y_margin).min(axis=2) > 0
     table = counts[live]
     margins = x_margin[live][:, :, None] * y_margin[live][:, None, :]
     expected = margins / table.sum(axis=(1, 2))[:, None, None]
     observed = table.astype(np.float64)
     ratio = np.where(table > 0, observed / expected, 1.0)
-    terms = (observed * np.log(ratio)).reshape(dof, 4).sum(axis=1)
+    terms = np.zeros(live.shape)
+    terms[live] = (observed * np.log(ratio)).reshape(-1, 4).sum(axis=1)
     # a running sum in stratum order, as a loop over the strata would add
-    statistic = max(float(np.cumsum(2.0 * terms)[-1]), 0.0)
-    p_value = chi2_sf(statistic, dof)
-    return CiTestResult(
-        statistic=statistic, dof=dof, p_value=p_value, independent=p_value > alpha
-    )
+    statistic = np.maximum((2.0 * terms).cumsum(axis=1)[:, -1], 0.0)
+    dof = live.sum(axis=1)
+    return statistic, dof, chi2_sf(statistic, dof)
+
+
+def _bit_columns(cells: np.ndarray) -> np.ndarray:
+    """Each column of a 0/1 matrix packed into 64-bit words, shape (k, words);
+    the padding bits are 0."""
+    packed = np.packbits(cells.T, axis=1)
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return packed.view(np.uint64)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+def _pair_tables(n: int | np.ndarray, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """(T, 2, 2) tables of x and y over n rows from their packed words."""
+    n11 = _popcount(bx & by)
+    n10 = _popcount(bx) - n11
+    n01 = _popcount(by) - n11
+    return np.stack([n - n10 - n01 - n11, n01, n10, n11], axis=1).reshape(-1, 2, 2)
+
+
+def g_squared_ci_batch(
+    z: IncidenceMatrix, x: np.ndarray, y: np.ndarray, s: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Statistic, dof, p-value and decision of T tests with |S| <= 1, each
+    equal to ``g_squared_ci_test``'s field bit for bit.
+
+    ``x`` and ``y`` hold T columns and ``s`` has shape (T, 0) or (T, 1).
+    The columns are packed into bit words once; a cell count of a table is
+    the popcount of an AND of packed columns, and at |S| = 1 the stratum
+    s = 0 is the whole table minus the stratum s = 1. Tests go in chunks
+    of about ``_BATCH_WORDS`` words per operand.
+    """
+    x, y, s = (np.asarray(a, dtype=np.intp) for a in (x, y, s))
+    if s.ndim != 2 or s.shape[1] > 1:
+        raise ValueError(f"s must have shape (T, 0) or (T, 1), got {s.shape}")
+    cols = np.concatenate([x, y, s.ravel()])
+    if cols.size and not (0 <= cols.min() and cols.max() < z.cols):
+        raise ColumnOutOfRange(f"a column is out of range for {z.cols} columns")
+    if (x == y).any() or (s == x[:, None]).any() or (s == y[:, None]).any():
+        raise ValueError("x, y, and s must be distinct")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    bits = _bit_columns(z.cells)
+    statistic = np.empty(len(x))
+    dof = np.empty(len(x), dtype=np.int64)
+    p_value = np.empty(len(x))
+    step = max(1, _BATCH_WORDS // max(bits.shape[1], 1))
+    for start in range(0, len(x), step):
+        part = slice(start, start + step)
+        bx, by = bits[x[part]], bits[y[part]]
+        tables = _pair_tables(z.rows, bx, by)[:, None]
+        if s.shape[1]:
+            bc = bits[s[part, 0]]
+            ones = _pair_tables(_popcount(bc), bx & bc, by & bc)[:, None]
+            tables = np.concatenate([tables - ones, ones], axis=1)
+        statistic[part], dof[part], p_value[part] = _g_squared(tables)
+    return statistic, dof, p_value, p_value > alpha
 
 
 @dataclass(frozen=True)
@@ -135,15 +222,58 @@ class Skeleton:
         return [int(j) for j in np.flatnonzero(self.adjacency[i])]
 
 
+def _candidates(frozen: dict[int, list[int]], u: int, v: int, level: int):
+    """Size-level subsets of adj(u)\\{v}, then of adj(v)\\{u}, each in
+    lexicographic column order and each subset once, as sorted tuples."""
+    if level == 0:  # the one empty subset, without building the pools
+        yield ()
+        return
+    tested: set[tuple[int, ...]] = set()
+    for base in (frozen[u], frozen[v]):
+        pool = [w for w in base if w != u and w != v]
+        for subset in combinations(pool, level):
+            if subset not in tested:
+                tested.add(subset)
+                yield subset
+
+
+def _batch_removals(
+    pairs: list[tuple[int, int]], frozen: dict[int, list[int]], level: int, batch: BatchTest
+) -> list[tuple[int, int, frozenset[int]]]:
+    """One level's removals from a single batch over every pair's candidates:
+    a pair takes its first independent candidate, as the lazy search does."""
+    owner: list[int] = []
+    flat: list[int] = []
+    for i, (u, v) in enumerate(pairs):
+        for subset in _candidates(frozen, u, v, level):
+            owner.append(i)
+            flat.extend(subset)
+    if not owner:
+        return []
+    owners = np.array(owner)
+    ends = np.array(pairs)[owners]
+    s = np.array(flat, dtype=np.intp).reshape(len(owners), level)
+    hits = np.flatnonzero(batch(ends[:, 0], ends[:, 1], s))
+    _, first = np.unique(owners[hits], return_index=True)
+    return [(*pairs[owners[t]], frozenset(s[t].tolist())) for t in hits[first]]
+
+
 def skeleton_from_ci(
-    k: int, independent: IndependenceTest, max_cond_size: int | None = None
+    k: int,
+    independent: IndependenceTest,
+    max_cond_size: int | None = None,
+    batch: BatchTest | None = None,
 ) -> Skeleton:
     """Level-synchronized PC skeleton phase over an arbitrary CI decision.
 
     For growing conditioning size l, every still-adjacent pair (u, v) is
     tested against each size-l subset of adj(u)\\{v} and adj(v)\\{u},
-    enumerated in lexicographic column order. Removals are committed only
-    once a level completes, so the result does not depend on scan order.
+    enumerated in lexicographic column order, until one is independent.
+    Removals are committed only once a level completes, so the result does
+    not depend on scan order. Given ``batch``, which must agree with
+    ``independent``, the levels below ``BATCH_LEVELS`` decide all of their
+    candidates in one call instead; each pair still takes its first
+    independent candidate, so the sepsets are the same.
     """
     cap = min(k - 2, DEFAULT_MAX_COND_SIZE if max_cond_size is None else max_cond_size)
     adj = {i: set(range(k)) - {i} for i in range(k)}
@@ -158,29 +288,16 @@ def skeleton_from_ci(
             for v in frozen[u]
         ):
             break
-        removals: list[tuple[int, int, frozenset[int]]] = []
-        for u in range(k):
-            for v in frozen[u]:
-                if v <= u:
-                    continue
-                tested: set[frozenset[int]] = set()
-                found = None
-                for base in (frozen[u], frozen[v]):
-                    pool = [w for w in base if w != u and w != v]
-                    if len(pool) < level:
-                        continue
-                    for subset in combinations(pool, level):
-                        cand = frozenset(subset)
-                        if cand in tested:
-                            continue
-                        tested.add(cand)
-                        if independent(u, v, cand):
-                            found = cand
-                            break
-                    if found is not None:
+        pairs = [(u, v) for u in range(k) for v in frozen[u] if v > u]
+        if batch is not None and level < BATCH_LEVELS:
+            removals = _batch_removals(pairs, frozen, level, batch)
+        else:
+            removals = []
+            for u, v in pairs:
+                for subset in map(frozenset, _candidates(frozen, u, v, level)):
+                    if independent(u, v, subset):
+                        removals.append((u, v, subset))
                         break
-                if found is not None:
-                    removals.append((u, v, found))
         for u, v, ss in removals:
             adj[u].discard(v)
             adj[v].discard(u)
@@ -330,9 +447,10 @@ def cpdag_from_ci(
     independent: IndependenceTest,
     points: Sequence[KnowledgePoint] | None = None,
     max_cond_size: int | None = None,
+    batch: BatchTest | None = None,
 ) -> Mcg:
     """Full PC pipeline (skeleton, colliders, closure) over a CI decision."""
-    sk = skeleton_from_ci(k, independent, max_cond_size=max_cond_size)
+    sk = skeleton_from_ci(k, independent, max_cond_size=max_cond_size, batch=batch)
     return meek_closure(orient_v_structures(sk, points))
 
 
@@ -341,10 +459,16 @@ def discover_cpdag(
     alpha: float = DEFAULT_ALPHA,
     max_cond_size: int | None = None,
 ) -> Mcg:
-    """Infer the CPDAG of the incidence matrix with the G-squared test."""
+    """Infer the CPDAG of the incidence matrix with the G-squared test;
+    levels 0 and 1 of the skeleton search run as one batch each."""
     points = tuple(KnowledgePoint(key=key) for key in z.col_keys)
 
     def independent(u: int, v: int, s: frozenset) -> bool:
         return g_squared_ci_test(z, u, v, s, alpha).independent
 
-    return cpdag_from_ci(z.cols, independent, points, max_cond_size=max_cond_size)
+    def batch(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return g_squared_ci_batch(z, x, y, s, alpha)[3]
+
+    return cpdag_from_ci(
+        z.cols, independent, points, max_cond_size=max_cond_size, batch=batch
+    )

@@ -98,10 +98,6 @@ class Mcg:
         return len(self.directed) + len(self.undirected)
 
 
-def empty_graph(points: Iterable[KnowledgePoint] = ()) -> Mcg:
-    return Mcg(nodes=tuple(points))
-
-
 class GraphBuilder:
     """Mutable adjacency of a mixed graph over nodes 0..k-1, edited pair by pair.
 

@@ -75,20 +75,13 @@ def d_separation_ci(dag: TrueDag, x: int, y: int, s: frozenset | set) -> bool:
 
     Reachability formulation: walk trails from x, tracking whether each
     node was entered from a child (up) or a parent (down); y reachable
-    along an active trail means dependence.
+    along an active trail means dependence. A walk entering a conditioned
+    node from a parent turns back up to its parents, so going back up a
+    directed path into s opens every collider that is an ancestor of s.
     """
     s = frozenset(s)
     if x == y or x in s or y in s:
         raise ValueError("x, y, and s must be distinct")
-
-    ancestors_of_s = set(s)
-    stack = list(s)
-    while stack:
-        n = stack.pop()
-        for p in dag.parents[n]:
-            if p not in ancestors_of_s:
-                ancestors_of_s.add(p)
-                stack.append(p)
 
     visited: set[tuple[int, str]] = set()
     frontier: list[tuple[int, str]] = [(x, "up")]
@@ -104,13 +97,12 @@ def d_separation_ci(dag: TrueDag, x: int, y: int, s: frozenset | set) -> bool:
                 frontier.append((p, "up"))
             for c in dag.children(node):
                 frontier.append((c, "down"))
+        elif direction == "down" and node in s:
+            for p in dag.parents[node]:
+                frontier.append((p, "up"))
         elif direction == "down":
-            if node not in s:
-                for c in dag.children(node):
-                    frontier.append((c, "down"))
-            if node in ancestors_of_s:
-                for p in dag.parents[node]:
-                    frontier.append((p, "up"))
+            for c in dag.children(node):
+                frontier.append((c, "down"))
     return True
 
 

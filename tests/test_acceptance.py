@@ -21,7 +21,7 @@ import cama.client as client_mod
 from cama.cli import main as cli_main
 from cama.client import RecordingClient
 from cama.discovery import discover_cpdag, g_squared_ci_test, meek_closure
-from cama.graph import Mcg, empty_graph, graphs_equal, topological_order
+from cama.graph import Mcg, graphs_equal, topological_order
 from cama.learning import (
     AlignmentConfig,
     AlignmentHistory,
@@ -258,7 +258,7 @@ def test_criterion_6_alignment_mechanics():
     corpus = make_corpus(
         [(f"a{i}", i, i + 2, ["alpha", "beta"]) for i in range(6)]
     )
-    g0 = empty_graph((KnowledgePoint("alpha", "a"), KnowledgePoint("beta", "b")))
+    g0 = Mcg(nodes=(KnowledgePoint("alpha", "a"), KnowledgePoint("beta", "b")))
     cfg = AlignmentConfig(m=6, s_b=2, n_e=10, c_stop=3, r=7, seed=3)
     _, rep = align(g0, corpus, cfg, FakeLlm())
     early_ok = rep.stop_reason == "early_stop" and len(rep.rounds) == 3
@@ -338,7 +338,7 @@ class _FuzzLlm:
 
 def test_criterion_7_cycle_safety_fuzz():
     keys = [f"node {i}" for i in range(8)]
-    g = empty_graph(tuple(KnowledgePoint(k) for k in keys))
+    g = Mcg(nodes=tuple(KnowledgePoint(k) for k in keys))
     record = QaRecord(id="fz", question="fuzz probe", answer="0")
     edits_per_round, rounds = 25, 400
     llm = _FuzzLlm(keys, seed=1234, edits_per_round=edits_per_round)

@@ -4,18 +4,26 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import cama.discovery
 from cama.discovery import (
     CiTestResult,
     chi2_sf,
     cpdag_from_ci,
     discover_cpdag,
+    g_squared_ci_batch,
     g_squared_ci_test,
 )
 from cama.errors import ColumnOutOfRange, StratumOverflow
 from cama.graph import serialize_graph
 from cama.matrix import IncidenceMatrix
 from cama.model import KnowledgePoint
-from cama.oracle import random_true_dag, sample_incidence
+from cama.oracle import (
+    TrueDag,
+    dsep_independence,
+    random_true_dag,
+    sample_incidence,
+    true_cpdag,
+)
 
 
 def matrix_from_counts(counts: dict[tuple[int, ...], int], k: int) -> IncidenceMatrix:
@@ -252,16 +260,173 @@ class TestGSquared:
             assert result == CiTestResult(statistic=0.0, dof=0, p_value=1.0, independent=True)
 
 
+def assert_batch_matches_scalar(z, x, y, s):
+    """Every field of every batched test equals the scalar kernel's, bit for bit."""
+    x, y, s = np.asarray(x), np.asarray(y), np.asarray(s).reshape(len(x), -1)
+    statistic, dof, p_value, independent = g_squared_ci_batch(z, x, y, s, alpha=0.05)
+    for t in range(len(x)):
+        want = g_squared_ci_test(z, int(x[t]), int(y[t]), frozenset(s[t].tolist()), 0.05)
+        got = (float(statistic[t]), int(dof[t]), float(p_value[t]), bool(independent[t]))
+        assert got == (want.statistic, want.dof, want.p_value, want.independent), (t, got, want)
+
+
+def all_tests(k: int, size: int):
+    """(x, y, s) of every test on k columns with |s| = size <= 1."""
+    triples = [
+        (x, y, c)
+        for x in range(k)
+        for y in range(k)
+        for c in (range(k) if size else [None])
+        if x != y and c not in (x, y)
+    ]
+    x, y, c = zip(*triples)
+    s = np.array(c if size else [], dtype=np.intp).reshape(len(x), size)
+    return np.array(x), np.array(y), s
+
+
+class TestGSquaredBatch:
+    @pytest.mark.parametrize("rows", [0, 1, 5, 40, 300, 3000])
+    def test_matches_scalar_kernel(self, rows):
+        rng = np.random.default_rng(rows)
+        for kind in ("sparse", "dense", "mixed"):
+            z = sweep_matrix(rng, rows, 4, kind)
+            for size in (0, 1):
+                assert_batch_matches_scalar(z, *all_tests(z.cols, size))
+
+    def test_zero_margin_strata(self):
+        # (x, y, c2, c3): given c2, x is constant where c2 = 1 and y where
+        # c2 = 0; c3 = 1 on every row, so its stratum 0 is empty
+        z = matrix_from_counts(
+            {(1, 1, 0, 1): 9, (0, 1, 0, 1): 3, (1, 0, 1, 1): 4, (1, 1, 1, 1): 6}, 4
+        )
+        assert_batch_matches_scalar(z, *all_tests(4, 0))
+        assert_batch_matches_scalar(z, *all_tests(4, 1))
+        dof = g_squared_ci_batch(z, [0, 0], [1, 1], [[2], [3]], alpha=0.05)[1]
+        assert dof.tolist() == [0, 1]
+
+    def test_rows_past_one_packed_word(self):
+        # 64 rows fill one packed word; 65 spill one bit into a second
+        for rows in (63, 64, 65, 130):
+            z = sweep_matrix(np.random.default_rng(rows), rows, 2, "dense")
+            assert_batch_matches_scalar(z, *all_tests(z.cols, 1))
+
+    def test_empty_batch(self):
+        z = sweep_matrix(np.random.default_rng(0), 10, 1, "dense")
+        for size in (0, 1):
+            out = g_squared_ci_batch(z, [], [], np.zeros((0, size), dtype=int), 0.05)
+            assert [len(a) for a in out] == [0, 0, 0, 0]
+
+    def test_rejects_what_the_scalar_test_rejects(self):
+        z = sweep_matrix(np.random.default_rng(0), 10, 2, "dense")
+        with pytest.raises(ValueError):
+            g_squared_ci_batch(z, [0], [1], [[2, 3]], alpha=0.05)
+        with pytest.raises(ValueError):
+            g_squared_ci_batch(z, [0], [1], [[2]], alpha=1.0)
+        with pytest.raises(ValueError):
+            g_squared_ci_batch(z, [0, 0], [1, 2], [[3], [2]], alpha=0.05)
+        for bad in ([[-1]], [[4]]):
+            with pytest.raises(ColumnOutOfRange):
+                g_squared_ci_batch(z, [0], [1], bad, alpha=0.05)
+
+
+def recorded_sizes(monkeypatch, name):
+    """Wrap cama.discovery.<name> and return the list of conditioning-set
+    sizes it is called with."""
+    sizes = []
+    original = getattr(cama.discovery, name)
+
+    def recording(z, x, y, s, alpha):
+        sizes.append(len(s) if name == "g_squared_ci_test" else np.shape(s)[1])
+        return original(z, x, y, s, alpha)
+
+    monkeypatch.setattr(cama.discovery, name, recording)
+    return sizes
+
+
+def test_discover_cpdag_batches_levels_0_and_1(monkeypatch):
+    scalar = recorded_sizes(monkeypatch, "g_squared_ci_test")
+    batched = recorded_sizes(monkeypatch, "g_squared_ci_batch")
+    z = sample_incidence(random_true_dag(12, 2 / 11, seed=3), 4000, seed=3)
+    discover_cpdag(z)
+    assert batched == [0, 1]
+    assert scalar and min(scalar) >= 2
+
+
+def test_oracle_decisions_stay_scalar(monkeypatch):
+    batched = recorded_sizes(monkeypatch, "g_squared_ci_batch")
+    dag = random_true_dag(8, 0.4, seed=5)
+    oracle = dsep_independence(dag)
+    sizes = []
+
+    def independent(u, v, s):
+        sizes.append(len(s))
+        return oracle(u, v, s)
+
+    points = tuple(KnowledgePoint(key=name) for name in dag.names)
+    cpdag = cpdag_from_ci(dag.k, independent, points)
+    assert serialize_graph(cpdag) == serialize_graph(true_cpdag(dag))
+    assert {0, 1} <= set(sizes) and not batched
+
+
+def sparse_dag(k: int, seed: int) -> TrueDag:
+    """random_true_dag's structure with the tables of extracted incidence: a
+    point is present with p in [0.25, 0.6] when any parent is and in [0.03,
+    0.08] otherwise, about 7% ones in all."""
+    base = random_true_dag(k, 2 / (k - 1), seed=seed)
+    rng = np.random.default_rng(seed)
+    cpts = []
+    for parents in base.parents:
+        any_parent = np.arange(2 ** len(parents)) > 0
+        p_one = np.where(
+            any_parent,
+            rng.uniform(0.25, 0.6, size=any_parent.size),
+            rng.uniform(0.03, 0.08, size=any_parent.size),
+        )
+        cpts.append(np.column_stack([1.0 - p_one, p_one]))
+    return TrueDag(names=base.names, parents=base.parents, cpt=tuple(cpts))
+
+
+def assert_cpdag_bytes_match(z, max_cond_size=None):
+    """discover_cpdag equals cpdag_from_ci over the one-at-a-time stratum loop."""
+    points = tuple(KnowledgePoint(key=key) for key in z.col_keys)
+    reference = cpdag_from_ci(
+        z.cols,
+        lambda u, v, s: g2_stratum_loop(z, u, v, s, 0.05).independent,
+        points,
+        max_cond_size=max_cond_size,
+    )
+    got = discover_cpdag(z, max_cond_size=max_cond_size)
+    assert serialize_graph(got) == serialize_graph(reference), max_cond_size
+
+
 @pytest.mark.parametrize("k", [10, 20])
 @pytest.mark.parametrize("rows", [2000, 20000])
 def test_cpdag_bytes_match_stratum_loop(k, rows):
     for seed in range(3):
         z = sample_incidence(random_true_dag(k, 2 / (k - 1), seed=seed), rows, seed=seed)
-        points = tuple(KnowledgePoint(key=key) for key in z.col_keys)
-        reference = cpdag_from_ci(
-            k, lambda u, v, s: g2_stratum_loop(z, u, v, s, 0.05).independent, points
-        )
-        assert serialize_graph(discover_cpdag(z)) == serialize_graph(reference), seed
+        for max_cond_size in (0, 1, None):
+            assert_cpdag_bytes_match(z, max_cond_size)
+
+
+@pytest.mark.parametrize("max_cond_size", [0, 1, None])
+@pytest.mark.parametrize("k", [60, 120])
+def test_cpdag_bytes_match_stratum_loop_sparse_wide(k, max_cond_size):
+    z = sample_incidence(sparse_dag(k, seed=k), 3000, seed=k)
+    assert 0.04 < z.cells.mean() < 0.1
+    assert_cpdag_bytes_match(z, max_cond_size)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 50])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_cpdag_bytes_match_stratum_loop_degenerate(k, rows):
+    cells = (np.random.default_rng(k).random((rows, k)) < 0.5).astype(np.uint8)
+    z = IncidenceMatrix(
+        cells=cells,
+        row_ids=tuple(map(str, range(rows))),
+        col_keys=tuple(f"c{i}" for i in range(k)),
+    )
+    for max_cond_size in (0, 1, None):
+        assert_cpdag_bytes_match(z, max_cond_size)
 
 
 class TestChiSquareSurvival:

@@ -109,6 +109,27 @@ class TestPcSkeleton:
         assert sk.adjacency[0, 2] and sk.adjacency[1, 2] and not sk.adjacency[0, 1]
         assert sk.sepsets[(0, 1)] == frozenset()
 
+    def test_batch_levels_keep_first_independent_subset(self):
+        # d-separation has many separating sets per pair, so a batch that
+        # took any independent candidate other than the first would show
+        for seed in range(10):
+            dag = random_true_dag(9, 0.35, seed=seed)
+            independent = dsep_independence(dag)
+            calls = []
+
+            def batch(x, y, s):
+                calls.append(s.shape[1])
+                return np.array(
+                    [independent(int(u), int(v), frozenset(c.tolist())) for u, v, c in zip(x, y, s)],
+                    dtype=bool,
+                )
+
+            lazy = skeleton_from_ci(dag.k, independent)
+            batched = skeleton_from_ci(dag.k, independent, batch=batch)
+            assert calls and set(calls) <= {0, 1}
+            assert (batched.adjacency == lazy.adjacency).all()
+            assert list(batched.sepsets.items()) == list(lazy.sepsets.items()), seed
+
 
 class TestOrientVStructures:
     def test_collider_oriented(self):

@@ -11,7 +11,6 @@ from cama.graph import (
     GraphBuilder,
     Mcg,
     deserialize_graph,
-    empty_graph,
     export_dot,
     extract_subgraph,
     graphs_equal,
@@ -161,7 +160,7 @@ class TestExtractSubgraph:
 
     def test_out_of_range_selection(self):
         with pytest.raises(ValueError):
-            extract_subgraph(empty_graph(points(2)), {5})
+            extract_subgraph(Mcg(nodes=points(2)), {5})
 
     @settings(max_examples=60)
     @given(random_mcgs(), st.sets(st.integers(0, 7)))
@@ -207,7 +206,7 @@ class TestVerbalize:
         )
 
     def test_empty_graph(self):
-        v = verbalize(empty_graph())
+        v = verbalize(Mcg(nodes=()))
         assert v.elements == () and v.relations == ()
         assert v.elements_text() == "" and v.relations_text() == ""
 
@@ -251,7 +250,7 @@ class TestGraphsEqual:
 
 class TestSerialization:
     def test_empty_round_trip(self):
-        g = empty_graph()
+        g = Mcg(nodes=())
         assert graphs_equal(deserialize_graph(serialize_graph(g)), g)
 
     @settings(max_examples=60)

@@ -6,7 +6,7 @@ from fake_llm import FakeLlm, update_response
 
 from cama.client import ChatRequest
 from cama.errors import EmptyDataset, TransportError, UnknownKey
-from cama.graph import Mcg, empty_graph, graphs_equal, topological_order, verbalize
+from cama.graph import Mcg, graphs_equal, topological_order, verbalize
 from cama.learning import (
     AlignmentConfig,
     AlignmentHistory,
@@ -29,7 +29,7 @@ def kp(key, desc="") -> KnowledgePoint:
 
 
 def alignment_graph() -> Mcg:
-    return empty_graph((kp("alpha"), kp("beta"), kp("gamma")))
+    return Mcg(nodes=(kp("alpha"), kp("beta"), kp("gamma")))
 
 
 class TestBuildDataset:
@@ -396,7 +396,7 @@ class TestAlign:
                 update_response("**alpha** is independent of **beta**."),
             ],
         )
-        g0 = empty_graph((kp("alpha"), kp("beta")))
+        g0 = Mcg(nodes=(kp("alpha"), kp("beta")))
         cfg = AlignmentConfig(m=2, s_b=2, n_e=2, seed=0)
         best, report = align(g0, corpus, cfg, llm)
         assert [e["precision"] for e in report.epoch_evals] == [1.0, 0.0]
@@ -480,7 +480,7 @@ class TestAlignmentHistoryRing:
     def test_cap(self):
         h = AlignmentHistory(7)
         for i in range(10):
-            h.push(empty_graph(), i / 10)
+            h.push(Mcg(nodes=()), i / 10)
         assert len(h) == 7
         assert h.entries[0][1] == pytest.approx(0.3)
 
@@ -495,12 +495,12 @@ class TestAlignmentHistoryRing:
 
     def test_zero_capacity(self):
         h = AlignmentHistory(0)
-        h.push(empty_graph(), 0.5)
+        h.push(Mcg(nodes=()), 0.5)
         assert len(h) == 0
 
     def test_bad_precision_rejected(self):
         with pytest.raises(ValueError):
-            AlignmentHistory(3).push(empty_graph(), 1.5)
+            AlignmentHistory(3).push(Mcg(nodes=()), 1.5)
 
 
 class TestAlignmentConfigValidation:

@@ -12,7 +12,7 @@ from fake_llm import FakeLlm
 
 from cama.client import ChatRequest, HttpChatClient, RecordingClient, ScriptedChatClient
 from cama.errors import EmptyTestSet, TransportError
-from cama.graph import Mcg, empty_graph, extract_subgraph, graphs_equal
+from cama.graph import Mcg, extract_subgraph, graphs_equal
 from cama.model import KnowledgePoint, QaRecord
 from cama.reasoning import answer_question, evaluate, judge_exact
 
@@ -72,7 +72,7 @@ class TestAnswerQuestion:
         assert "gamma" not in answer_prompt
 
     def test_empty_graph_degenerates_to_plain_prompting(self, fake_llm):
-        outcome = answer_question(empty_graph(), self.record(kps=()), fake_llm)
+        outcome = answer_question(Mcg(nodes=()), self.record(kps=()), fake_llm)
         assert outcome.chosen == frozenset()
         prompt = fake_llm.prompts("p_a")[0]
         elements_section = prompt.split("# Elements to Consider:")[1].split("# Relationship")[0]
