@@ -87,7 +87,7 @@ def cmd_build_dataset(qa_file, **cfg_kwargs):
     cfg = _load_cfg(**cfg_kwargs)
     client = build_client(cfg)
     records = load_qa_records(qa_file)
-    dataset = learning.build_dataset(records, client, temperature=cfg.temperature)
+    dataset = learning.build_dataset(records, client)
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.run_dir / "dataset.json"
     save_qa_records(dataset, out)
@@ -111,7 +111,6 @@ def cmd_learn(dataset_file, **cfg_kwargs):
         alpha=cfg.alpha,
         max_cond_size=cfg.max_cond_size,
         align_cfg=cfg.alignment,
-        temperature=cfg.temperature,
     )
     origin = (
         f"epoch {report.best_epoch}" if report.best_epoch else "initial discovery"
@@ -153,7 +152,7 @@ def cmd_answer(graph_file, question, **cfg_kwargs):
     client = build_client(cfg)
     g = load_graph(graph_file)
     record = QaRecord(id="cli-question", question=question)
-    outcome = reasoning.answer_question(g, record, client, temperature=cfg.temperature)
+    outcome = reasoning.answer_question(g, record, client)
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
     audit = {
         "question": question,
@@ -186,9 +185,7 @@ def cmd_evaluate(graph_file, test_file, **cfg_kwargs):
     client = build_client(cfg)
     g = load_graph(graph_file)
     test = load_qa_records(test_file)
-    report = reasoning.evaluate(
-        g, test, client, repetitions=cfg.repetitions, temperature=cfg.temperature
-    )
+    report = reasoning.evaluate(g, test, client, repetitions=cfg.repetitions)
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.run_dir / "eval_report.json"
     out.write_text(

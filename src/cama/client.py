@@ -25,22 +25,19 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.6
 DEFAULT_MAX_RETRIES = 3
+DEFAULT_IN_FLIGHT_LIMIT = 4
 
 
 @dataclass(frozen=True)
 class ChatRequest:
     prompt: str
     tag: str
-    temperature: float = DEFAULT_TEMPERATURE
-    max_retries: int = DEFAULT_MAX_RETRIES
 
     def __post_init__(self):
         if not self.prompt:
             raise ValueError("prompt is empty")
         if self.tag not in TEMPLATE_TAGS:
             raise ValueError(f"unknown request tag {self.tag!r}")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 def prompt_sha256(prompt: str) -> str:
@@ -213,19 +210,26 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
 class HttpChatClient:
     """Chat-completion client for an OpenAI-style HTTP endpoint.
 
-    Transient failures (connection errors, 429, 5xx) are retried with
-    jittered exponential backoff up to the request's retry budget. A batch
-    runs on up to ``in_flight_limit`` threads at once.
+    Every request is sent at ``temperature``. Transient failures
+    (connection errors, 429, 5xx) are retried with jittered exponential
+    backoff, up to ``max_retries`` attempts in all. A batch runs on up to
+    ``in_flight_limit`` threads at once.
     """
 
     api_base: str
     model: str
     api_key: str = ""
     timeout: float = 120.0
-    in_flight_limit: int = 4
+    in_flight_limit: int = DEFAULT_IN_FLIGHT_LIMIT
+    temperature: float = DEFAULT_TEMPERATURE
+    max_retries: int = DEFAULT_MAX_RETRIES
     transport: Transport = _requests_transport
     sleeper: Callable[[float], None] = time.sleep
     _jitter: random.Random = field(default_factory=lambda: random.Random())
+
+    def __post_init__(self):
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
 
     def complete_all(self, requests: Sequence[ChatRequest]) -> list[str | CamaError]:
         if not requests:
@@ -242,9 +246,9 @@ class HttpChatClient:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
+            "temperature": self.temperature,
         }
-        attempts = max(1, request.max_retries)
+        attempts = max(1, self.max_retries)
         last_error: Exception | None = None
         for attempt in range(attempts):
             if attempt:

@@ -6,9 +6,16 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .client import HttpChatClient, RecordingClient, ScriptedChatClient
+from .client import (
+    DEFAULT_IN_FLIGHT_LIMIT,
+    DEFAULT_TEMPERATURE,
+    HttpChatClient,
+    RecordingClient,
+    ScriptedChatClient,
+)
+from .discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
 from .errors import ConfigError
-from .learning import AlignmentConfig
+from .learning import DEFAULT_GRANULARITY, AlignmentConfig
 
 ENV_API_BASE = "CAMA_API_BASE"
 ENV_API_KEY = "CAMA_API_KEY"
@@ -22,11 +29,11 @@ class Config:
     api_base: str = ""
     model: str = ""
     api_key_env: str = ENV_API_KEY
-    granularity: int = 3
-    alpha: float = 0.05
-    temperature: float = 0.6
-    in_flight_limit: int = 4
-    max_cond_size: int = 8
+    granularity: int = DEFAULT_GRANULARITY
+    alpha: float = DEFAULT_ALPHA
+    temperature: float = DEFAULT_TEMPERATURE
+    in_flight_limit: int = DEFAULT_IN_FLIGHT_LIMIT
+    max_cond_size: int = DEFAULT_MAX_COND_SIZE
     repetitions: int = 1
     seed: int = 0
     run_dir: Path = Path("cama_run")
@@ -43,6 +50,8 @@ class Config:
             raise ConfigError("temperature must be >= 0")
         if self.in_flight_limit < 1:
             raise ConfigError("in_flight_limit must be >= 1")
+        if self.max_cond_size < 0:
+            raise ConfigError("max_cond_size must be >= 0")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.transcript_mode not in MODES:
@@ -67,6 +76,12 @@ _SCALAR_KEYS = {
     "transcript": str,
 }
 _ALIGN_KEYS = {"m": int, "s_b": int, "n_e": int, "r": int, "c_stop": int, "seed": int}
+# file keys whose Config field has another name; every other key is its field
+_FIELD_OF_KEY = {
+    "lambda": "granularity",
+    "mode": "transcript_mode",
+    "transcript": "transcript_path",
+}
 
 
 def _coerce(key: str, raw: str, kind):
@@ -104,8 +119,9 @@ def parse_config_text(text: str) -> dict:
 def load_config(path: str | Path | None = None, **overrides) -> Config:
     """Assemble a Config from file, environment, and explicit overrides.
 
-    Precedence: explicit overrides > environment > file > defaults.
-    Overrides with value None are ignored.
+    Precedence: explicit overrides > environment > file > the ``Config``
+    defaults. Overrides are named by file key; those with value None are
+    ignored.
     """
     values: dict = {}
     if path is not None:
@@ -133,23 +149,13 @@ def load_config(path: str | Path | None = None, **overrides) -> Config:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"bad alignment settings: {e}") from e
 
-    kwargs = {
-        "api_base": values.get("api_base", ""),
-        "model": values.get("model", ""),
-        "api_key_env": values.get("api_key_env", ENV_API_KEY),
-        "granularity": values.get("lambda", 3),
-        "alpha": values.get("alpha", 0.05),
-        "temperature": values.get("temperature", 0.6),
-        "in_flight_limit": values.get("in_flight_limit", 4),
-        "max_cond_size": values.get("max_cond_size", 8),
-        "repetitions": values.get("repetitions", 1),
-        "seed": values.get("seed", 0),
-        "run_dir": Path(values.get("run_dir", "cama_run")),
-        "transcript_mode": values.get("mode", "live"),
-        "transcript_path": Path(values["transcript"]) if values.get("transcript") else None,
-        "alignment": alignment,
-    }
-    return Config(**kwargs)
+    kwargs = {_FIELD_OF_KEY.get(key, key): value for key, value in values.items()}
+    if "run_dir" in kwargs:
+        kwargs["run_dir"] = Path(kwargs["run_dir"])
+    transcript = kwargs.pop("transcript_path", None)
+    return Config(
+        alignment=alignment, transcript_path=Path(transcript) if transcript else None, **kwargs
+    )
 
 
 def default_transcript_path(cfg: Config) -> Path:
@@ -188,6 +194,7 @@ def build_client(cfg: Config):
         model=cfg.model,
         api_key=api_key,
         in_flight_limit=cfg.in_flight_limit,
+        temperature=cfg.temperature,
     )
     if cfg.transcript_mode == "record":
         path = default_transcript_path(cfg)

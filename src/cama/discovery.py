@@ -275,6 +275,8 @@ def skeleton_from_ci(
     candidates in one call instead; each pair still takes its first
     independent candidate, so the sepsets are the same.
     """
+    if max_cond_size is not None and max_cond_size < 0:
+        raise ValueError("max_cond_size must be >= 0")
     cap = min(k - 2, DEFAULT_MAX_COND_SIZE if max_cond_size is None else max_cond_size)
     adj = {i: set(range(k)) - {i} for i in range(k)}
     sepsets: dict[tuple[int, int], frozenset[int]] = {}

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .client import ChatClient, ChatRequest, complete_all
-from .discovery import discover_cpdag
+from .discovery import DEFAULT_ALPHA, discover_cpdag
 from .errors import CamaError, EmptyDataset, UnknownKey
 from .graph import GraphBuilder, Mcg, graphs_equal, save_graph, verbalize
 from .matrix import IncidenceMatrix
@@ -30,10 +30,12 @@ from .parsers import (
     parse_extracted_points,
     parse_relation_edits,
 )
-from .reasoning import answer_questions, judge_exact
+from .reasoning import ReasoningOutcome, answer_questions, judge_exact
 from .templates import render_template
 
 logger = logging.getLogger(__name__)
+
+DEFAULT_GRANULARITY = 3
 
 
 @dataclass(frozen=True)
@@ -89,18 +91,9 @@ class AlignmentHistory:
 
 
 @dataclass(frozen=True)
-class RoundQuadruple:
-    question: str
-    solution: str | None
-    subgraph: Mcg
-    correct: bool
-
-
-@dataclass(frozen=True)
 class RoundResult:
     graph: Mcg
     precision: float
-    quadruples: tuple[RoundQuadruple, ...]
     edits_applied: int = 0
     edits_rejected: int = 0
     edits_skipped: int = 0
@@ -122,9 +115,7 @@ class AlignmentReport:
 # --- dataset construction ----------------------------------------------------
 
 
-def build_dataset(
-    qa: list[QaRecord], gateway: ChatClient, temperature: float = 0.6
-) -> list[QaRecord]:
+def build_dataset(qa: list[QaRecord], gateway: ChatClient) -> list[QaRecord]:
     """Generate a solution per question and keep records the model solved.
 
     A record survives only when the generated answer matches the ground
@@ -134,11 +125,7 @@ def build_dataset(
         if rec.solution is not None:
             raise ValueError(f"record {rec.id!r} already has a solution")
     requests = [
-        ChatRequest(
-            prompt=render_template("p_g", {"question": rec.question}),
-            tag="p_g",
-            temperature=temperature,
-        )
+        ChatRequest(prompt=render_template("p_g", {"question": rec.question}), tag="p_g")
         for rec in qa
     ]
     retained: list[QaRecord] = []
@@ -173,10 +160,7 @@ def _format_qa_pair(rec: QaRecord) -> str:
 
 
 def extract_all(
-    qs: list[QaRecord],
-    granularity: int,
-    gateway: ChatClient,
-    temperature: float = 0.6,
+    qs: list[QaRecord], granularity: int, gateway: ChatClient
 ) -> list[ExtractionRecord]:
     """One independent extraction call per pair; order preserved.
 
@@ -189,7 +173,6 @@ def extract_all(
                 {"question_solution_pairs": _format_qa_pair(rec), "lambda": str(granularity)},
             ),
             tag="p_p",
-            temperature=temperature,
         )
         for rec in qs
     ]
@@ -217,9 +200,7 @@ def union_points(records: list[ExtractionRecord]) -> list[KnowledgePoint]:
 
 
 def deduplicate(
-    records: list[ExtractionRecord],
-    gateway: ChatClient,
-    temperature: float = 0.6,
+    records: list[ExtractionRecord], gateway: ChatClient
 ) -> tuple[list[KnowledgePoint], ReplacementMap]:
     """Ask the model which points are redundant and fold them away.
 
@@ -233,10 +214,7 @@ def deduplicate(
     prompt = render_template("p_r", {"list_all_knowledge_points": listing})
     pool_keys = {p.key for p in pool}
     try:
-        raw = gateway.complete(
-            ChatRequest(prompt=prompt, tag="p_r", temperature=temperature)
-        )
-        result = parse_dedup(raw)
+        result = parse_dedup(gateway.complete(ChatRequest(prompt=prompt, tag="p_r")))
         for gone, survivor in result.replacements.pairs.items():
             if survivor not in pool_keys:
                 raise CamaError(
@@ -281,23 +259,20 @@ def build_incidence_matrix(
 # --- alignment ----------------------------------------------------------------
 
 
-def _format_feedback_entries(quadruples: list[RoundQuadruple]) -> str:
-    if not quadruples:
+def _format_feedback_entries(answered: list[tuple[QaRecord, ReasoningOutcome]]) -> str:
+    if not answered:
         return "(none)"
-    chunks = []
-    for quad in quadruples:
-        view = verbalize(quad.subgraph)
-        chunks.append(
-            "## Question\n"
-            f"{quad.question}\n\n"
-            "## Solution\n"
-            f"{quad.solution or '(not available)'}\n\n"
-            "## Matched Knowledge Points\n"
-            f"{view.elements_text() or '(none)'}\n\n"
-            "## Recorded Relations\n"
-            f"{view.relations_text() or '(none)'}"
-        )
-    return "\n\n".join(chunks)
+    return "\n\n".join(
+        "## Question\n"
+        f"{rec.question}\n\n"
+        "## Solution\n"
+        f"{rec.solution or '(not available)'}\n\n"
+        "## Matched Knowledge Points\n"
+        f"{outcome.view.elements_text() or '(none)'}\n\n"
+        "## Recorded Relations\n"
+        f"{outcome.view.relations_text() or '(none)'}"
+        for rec, outcome in answered
+    )
 
 
 def _format_history(history: AlignmentHistory) -> str:
@@ -349,30 +324,19 @@ def run_alignment_round(
     batch: list[QaRecord],
     history: AlignmentHistory,
     gateway: ChatClient,
-    temperature: float = 0.6,
 ) -> RoundResult:
     """Answer one batch with the current graph and apply the model's edits.
 
-    Returns the (possibly) updated graph, the batch precision measured
-    with the input graph, and the recorded quadruples. A failed update
-    call leaves the graph unchanged.
+    Returns the (possibly) updated graph and the batch precision measured
+    with the input graph. A failed update call leaves the graph unchanged.
     """
     if not batch:
         raise ValueError("alignment batch is empty")
-    outcomes = answer_questions(g, batch, gateway, temperature=temperature)
-    quadruples = [
-        RoundQuadruple(
-            question=rec.question,
-            solution=rec.solution,
-            subgraph=outcome.subgraph,
-            correct=outcome.correct,
-        )
-        for rec, outcome in zip(batch, outcomes)
-    ]
-    precision = sum(q.correct for q in quadruples) / len(quadruples)
+    answered = list(zip(batch, answer_questions(g, batch, gateway)))
+    correct_part = [pair for pair in answered if pair[1].correct]
+    incorrect_part = [pair for pair in answered if not pair[1].correct]
+    precision = len(correct_part) / len(answered)
 
-    correct_part = [q for q in quadruples if q.correct]
-    incorrect_part = [q for q in quadruples if not q.correct]
     incorrect_text = _format_feedback_entries(incorrect_part)
     history_text = _format_history(history)
     if history_text:
@@ -387,29 +351,23 @@ def run_alignment_round(
         },
     )
     try:
-        raw = gateway.complete(
-            ChatRequest(prompt=prompt, tag="p_u", temperature=temperature)
-        )
-        edits = parse_relation_edits(raw)
+        edits = parse_relation_edits(gateway.complete(ChatRequest(prompt=prompt, tag="p_u")))
     except CamaError as e:
         logger.warning("update call failed, keeping graph unchanged: %s", e)
-        return RoundResult(graph=g, precision=precision, quadruples=tuple(quadruples))
+        return RoundResult(graph=g, precision=precision)
 
     new_graph, applied, rejected, skipped = apply_relation_edits(g, edits)
     return RoundResult(
         graph=new_graph,
         precision=precision,
-        quadruples=tuple(quadruples),
         edits_applied=applied,
         edits_rejected=rejected,
         edits_skipped=skipped,
     )
 
 
-def _subset_precision(
-    g: Mcg, subset: list[QaRecord], gateway: ChatClient, temperature: float
-) -> float:
-    outcomes = answer_questions(g, subset, gateway, temperature=temperature)
+def _subset_precision(g: Mcg, subset: list[QaRecord], gateway: ChatClient) -> float:
+    outcomes = answer_questions(g, subset, gateway)
     return sum(o.correct for o in outcomes) / len(subset)
 
 
@@ -418,7 +376,6 @@ def align(
     dataset: list[QaRecord],
     cfg: AlignmentConfig,
     gateway: ChatClient,
-    temperature: float = 0.6,
 ) -> tuple[Mcg, AlignmentReport]:
     """Batch-iterate graph updates and return the best epoch graph.
 
@@ -451,9 +408,7 @@ def align(
         for start in range(0, len(order), cfg.s_b):
             batch = order[start : start + cfg.s_b]
             round_index += 1
-            result = run_alignment_round(
-                g, batch, history, gateway, temperature=temperature
-            )
+            result = run_alignment_round(g, batch, history, gateway)
             history.push(g, result.precision)
             changed = not graphs_equal(result.graph, g)
             unchanged_streak = 0 if changed else unchanged_streak + 1
@@ -473,7 +428,7 @@ def align(
                 stopped_early = True
                 break
 
-        epoch_precision = _subset_precision(g, subset, gateway, temperature)
+        epoch_precision = _subset_precision(g, subset, gateway)
         report.epoch_evals.append({"epoch": epoch, "precision": epoch_precision})
         if epoch_precision > best_precision:
             best, best_precision, best_epoch = g, epoch_precision, epoch
@@ -494,18 +449,17 @@ def run_learn_pipeline(
     gateway: ChatClient,
     run_dir: str | Path,
     *,
-    granularity: int = 3,
-    alpha: float = 0.05,
+    granularity: int = DEFAULT_GRANULARITY,
+    alpha: float = DEFAULT_ALPHA,
     max_cond_size: int | None = None,
     align_cfg: AlignmentConfig | None = None,
-    temperature: float = 0.6,
 ) -> tuple[Mcg, Mcg, AlignmentReport]:
     """Extraction through alignment, persisting every intermediate artifact."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     align_cfg = align_cfg or AlignmentConfig()
 
-    records = extract_all(dataset, granularity, gateway, temperature=temperature)
+    records = extract_all(dataset, granularity, gateway)
     with (run_dir / "extraction.jsonl").open("w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(
@@ -523,7 +477,7 @@ def run_learn_pipeline(
                 + "\n"
             )
 
-    canonical, replacements = deduplicate(records, gateway, temperature=temperature)
+    canonical, replacements = deduplicate(records, gateway)
     (run_dir / "canonical_points.json").write_text(
         json.dumps(
             {
@@ -546,7 +500,7 @@ def run_learn_pipeline(
     g_init = discover_cpdag(z, alpha=alpha, max_cond_size=max_cond_size)
     save_graph(g_init, run_dir / "graph_initial.json")
 
-    g_best, report = align(g_init, dataset, align_cfg, gateway, temperature=temperature)
+    g_best, report = align(g_init, dataset, align_cfg, gateway)
     save_graph(g_best, run_dir / "graph_best.json")
     (run_dir / "alignment_report.json").write_text(
         json.dumps(report.to_dict(), indent=2, ensure_ascii=False, sort_keys=True) + "\n",

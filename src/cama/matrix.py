@@ -25,10 +25,15 @@ class IncidenceMatrix:
     col_keys: tuple[str, ...]
 
     def __post_init__(self):
-        cells = np.array(self.cells, dtype=np.uint8, order="F")
+        given = np.asarray(self.cells)
+        cells = np.array(given, dtype=np.uint8, order="F")
         if cells.ndim != 2:
             raise ValueError("cells must be a 2-D array")
-        if (cells > 1).any():
+        # the cast wraps 257 to 1 and truncates 0.7 to 0, so other dtypes
+        # must come through it unchanged
+        if (cells > 1).any() or (
+            given.dtype != np.uint8 and not np.array_equal(cells, given)
+        ):
             raise ValueError("cells must contain only 0 and 1")
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)

@@ -12,11 +12,10 @@ import decimal
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .client import ChatClient, ChatRequest, complete_all
 from .errors import CamaError, EmptyTestSet
-from .graph import Mcg, extract_subgraph, verbalize
+from .graph import Mcg, Verbalization, extract_subgraph, verbalize
 from .model import QaRecord
 from .parsers import parse_answer, parse_chosen_factors
 from .templates import render_template
@@ -26,10 +25,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ReasoningOutcome:
+    """One answered question. ``view`` is the verbalized ``subgraph`` that
+    the answer prompt carried (empty if the question failed before it)."""
+
     qa_id: str
     trace: str
     chosen: frozenset[int]
     subgraph: Mcg
+    view: Verbalization
     raw_answer: str
     parsed_answer: str
     correct: bool
@@ -74,12 +77,6 @@ class EvalReport:
         }
 
 
-# a judge decides whether a predicted answer matches the ground truth;
-# the exact-match judge below is the only built-in implementation, but an
-# equivalence judge backed by another model can be plugged in through the
-# same signature
-Judge = Callable[[str, str], bool]
-
 _NUMBER = re.compile(r"[+-]?\d+(?:\.\d+)?")
 
 
@@ -115,8 +112,6 @@ def answer_questions(
     g: Mcg,
     records: list[QaRecord],
     gateway: ChatClient,
-    temperature: float = 0.6,
-    judge: Judge = judge_exact,
 ) -> list[ReasoningOutcome]:
     """Run the trace / subgraph-match / answer pipeline for each question.
 
@@ -128,6 +123,7 @@ def answer_questions(
     traces = [""] * n
     chosen: list[frozenset[int]] = [frozenset()] * n
     subgraphs = [extract_subgraph(g, ())] * n
+    views = [Verbalization(elements=(), relations=())] * n
     raw_answers = [""] * n
     failures: dict[int, str] = {}
 
@@ -136,10 +132,7 @@ def answer_questions(
         failures[i] = f"{type(error).__name__}: {error}"
 
     def ask(tag: str, prompts: dict[int, str]) -> dict[int, str]:
-        requests = [
-            ChatRequest(prompt=p, tag=tag, temperature=temperature)
-            for p in prompts.values()
-        ]
+        requests = [ChatRequest(prompt=p, tag=tag) for p in prompts.values()]
         replies = {}
         for i, result in zip(prompts, complete_all(gateway, requests)):
             if isinstance(result, CamaError):
@@ -175,13 +168,13 @@ def answer_questions(
             fail(i, e)
             continue
         subgraphs[i] = extract_subgraph(g, chosen[i])
-        sub_view = verbalize(subgraphs[i])
+        views[i] = verbalize(subgraphs[i])
         answer_prompts[i] = render_template(
             "p_a",
             {
                 "question": records[i].question,
-                "chosen_knowledge_points": sub_view.elements_text(),
-                "knowledge_point_relations": sub_view.relations_text(),
+                "chosen_knowledge_points": views[i].elements_text(),
+                "knowledge_point_relations": views[i].relations_text(),
             },
         )
 
@@ -202,9 +195,10 @@ def answer_questions(
                 trace=traces[i],
                 chosen=chosen[i],
                 subgraph=subgraphs[i],
+                view=views[i],
                 raw_answer=raw_answers[i],
                 parsed_answer=answer,
-                correct=i in parsed and bool(q.answer) and judge(answer, q.answer),
+                correct=i in parsed and bool(q.answer) and judge_exact(answer, q.answer),
                 failed=i in failures,
                 failure=failures.get(i),
             )
@@ -212,15 +206,9 @@ def answer_questions(
     return outcomes
 
 
-def answer_question(
-    g: Mcg,
-    q: QaRecord,
-    gateway: ChatClient,
-    temperature: float = 0.6,
-    judge: Judge = judge_exact,
-) -> ReasoningOutcome:
+def answer_question(g: Mcg, q: QaRecord, gateway: ChatClient) -> ReasoningOutcome:
     """Run the trace / subgraph-match / answer pipeline for one question."""
-    return answer_questions(g, [q], gateway, temperature=temperature, judge=judge)[0]
+    return answer_questions(g, [q], gateway)[0]
 
 
 def evaluate(
@@ -228,8 +216,6 @@ def evaluate(
     test: list[QaRecord],
     gateway: ChatClient,
     repetitions: int = 1,
-    temperature: float = 0.6,
-    judge: Judge = judge_exact,
 ) -> EvalReport:
     """Pass@1 over all (question, repetition) cells, plus match statistics."""
     if not test:
@@ -238,7 +224,7 @@ def evaluate(
         raise ValueError("repetitions must be >= 1")
 
     cells = [record for record in test for _ in range(repetitions)]
-    outcomes = answer_questions(g, cells, gateway, temperature=temperature, judge=judge)
+    outcomes = answer_questions(g, cells, gateway)
     total = len(outcomes)
     correct = sum(1 for o in outcomes if o.correct)
     matched = [len(o.chosen) for o in outcomes if o.chosen]

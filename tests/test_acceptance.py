@@ -208,7 +208,6 @@ def test_criterion_5_end_to_end_determinism(tmp_path):
         alpha=0.05,
         max_cond_size=8,
         align_cfg=AlignmentConfig(seed=seed),
-        temperature=0.6,
     )
     evaluate(g_best, load_qa_records(dataset_file), recorder, repetitions=1)
 

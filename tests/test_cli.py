@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -8,8 +9,14 @@ from fake_llm import FakeLlm, question_text
 
 import cama.client as client_mod
 from cama.cli import main
-from cama.client import RecordingClient
-from cama.config import build_client, load_config
+from cama.client import (
+    DEFAULT_MAX_RETRIES,
+    DEFAULT_TEMPERATURE,
+    HttpChatClient,
+    RecordingClient,
+)
+from cama.config import Config, build_client, load_config
+from cama.discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
 from cama.errors import ConfigError
 from cama.graph import Mcg, load_graph, save_graph
 from cama.model import KnowledgePoint, QaRecord, save_qa_records
@@ -98,6 +105,40 @@ class TestConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, mode="offline")
+
+    def test_defaults_come_from_config(self):
+        assert load_config(None) == Config()
+        assert (Config().alpha, Config().max_cond_size) == (DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE)
+        assert Config().temperature == DEFAULT_TEMPERATURE
+
+    def test_renamed_keys_map_to_fields(self, tmp_path):
+        cfg_file = tmp_path / "cama.conf"
+        cfg_file.write_text(
+            "lambda = 5\nmode = replay\ntranscript = t.jsonl\nrun_dir = out\n"
+            "temperature = 0.2\nin_flight_limit = 2\nmax_cond_size = 0\n"
+        )
+        cfg = load_config(cfg_file)
+        assert (cfg.granularity, cfg.transcript_mode) == (5, "replay")
+        assert (cfg.transcript_path, cfg.run_dir) == (Path("t.jsonl"), Path("out"))
+        assert (cfg.temperature, cfg.in_flight_limit, cfg.max_cond_size) == (0.2, 2, 0)
+
+    def test_negative_max_cond_size_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="max_cond_size"):
+            Config(max_cond_size=-1)
+        cfg_file = tmp_path / "cama.conf"
+        cfg_file.write_text("max_cond_size = -1\n")
+        with pytest.raises(ConfigError, match="max_cond_size"):
+            load_config(cfg_file)
+
+    def test_gateway_gets_temperature_and_in_flight_limit(self, monkeypatch):
+        monkeypatch.setenv("CAMA_API_KEY", "secret")
+        cfg = load_config(
+            None, api_base="http://api.example", model="m1", temperature=0.1, in_flight_limit=2
+        )
+        client = build_client(cfg)
+        assert isinstance(client, HttpChatClient)
+        assert (client.temperature, client.in_flight_limit) == (0.1, 2)
+        assert client.max_retries == DEFAULT_MAX_RETRIES
 
 
 class TestDiscoverCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import threading
 import time
@@ -27,10 +28,10 @@ def entry(tag: str, prompt: str, response: str) -> TranscriptEntry:
 
 
 class TestChatRequest:
-    def test_defaults(self):
+    def test_fields_are_prompt_and_tag(self):
+        assert [f.name for f in dataclasses.fields(ChatRequest)] == ["prompt", "tag"]
         req = ChatRequest(prompt="hi", tag="p_t")
-        assert req.temperature == 0.6
-        assert req.max_retries == 3
+        assert (req.prompt, req.tag) == ("hi", "p_t")
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
@@ -119,6 +120,25 @@ class TestHttpClient:
         assert seen["payload"]["temperature"] == 0.6
         assert seen["headers"]["Authorization"] == "Bearer k"
 
+    def test_gateway_temperature_in_payload(self):
+        seen = {}
+
+        def transport(url, headers, payload, timeout):
+            seen.update(payload=payload)
+            return 200, ok_body("pong")
+
+        client = self.client(transport, temperature=0.0)
+        client.complete(ChatRequest(prompt="ping", tag="p_t"))
+        assert seen["payload"] == {
+            "model": "test-model",
+            "messages": [{"role": "user", "content": "ping"}],
+            "temperature": 0.0,
+        }
+
+    def test_negative_temperature_rejected(self):
+        with pytest.raises(ValueError, match="temperature"):
+            self.client(lambda *args: (200, ok_body("x")), temperature=-0.1)
+
     def test_two_failures_then_success(self):
         calls = {"n": 0}
 
@@ -128,29 +148,35 @@ class TestHttpClient:
                 raise TransportError("connection reset")
             return 200, ok_body("recovered")
 
-        out = self.client(flaky).complete(
-            ChatRequest(prompt="q", tag="p_t", max_retries=3)
-        )
+        out = self.client(flaky, max_retries=3).complete(ChatRequest(prompt="q", tag="p_t"))
         assert out == "recovered"
         assert calls["n"] == 3
 
     def test_retry_budget_exhausted(self):
+        calls = {"n": 0}
+
         def always_down(url, headers, payload, timeout):
+            calls["n"] += 1
             raise TransportError("down")
 
         with pytest.raises(TransportError):
-            self.client(always_down).complete(
-                ChatRequest(prompt="q", tag="p_t", max_retries=3)
+            self.client(always_down, max_retries=3).complete(
+                ChatRequest(prompt="q", tag="p_t")
             )
+        assert calls["n"] == 3
 
     def test_rate_limited_after_retries(self):
+        calls = {"n": 0}
+
         def throttled(url, headers, payload, timeout):
+            calls["n"] += 1
             return 429, "slow down"
 
         with pytest.raises(RateLimited):
-            self.client(throttled).complete(
-                ChatRequest(prompt="q", tag="p_t", max_retries=2)
+            self.client(throttled, max_retries=2).complete(
+                ChatRequest(prompt="q", tag="p_t")
             )
+        assert calls["n"] == 2
 
     def test_server_errors_retried(self):
         calls = {"n": 0}
@@ -185,7 +211,7 @@ class TestHttpClient:
             sleeper=delays.append,
         )
         with pytest.raises(TransportError):
-            client.complete(ChatRequest(prompt="q", tag="p_t", max_retries=3))
+            client.complete(ChatRequest(prompt="q", tag="p_t"))
         assert len(delays) == 2
         assert 1.0 <= delays[0] <= 1.25
         assert 2.0 <= delays[1] <= 2.5

@@ -1,6 +1,7 @@
 import logging
 
 import numpy as np
+import pytest
 
 from test_oracle import chain_dag, collider_dag, fork_dag
 
@@ -248,6 +249,31 @@ class TestDiscoverCpdag:
             z = sample_incidence(dag, 800, seed=seed)
             g = discover_cpdag(z, alpha=0.05)
             assert topological_order(g.k, g.directed) is not None  # Mcg built => holds
+
+    def test_negative_max_cond_size_rejected(self):
+        z = sample_incidence(random_true_dag(5, 0.4, seed=1), 500, seed=1)
+        calls = []
+
+        def independent(u, v, s):
+            calls.append((u, v, s))
+            return False
+
+        with pytest.raises(ValueError, match="max_cond_size"):
+            skeleton_from_ci(5, independent, max_cond_size=-1)
+        with pytest.raises(ValueError, match="max_cond_size"):
+            discover_cpdag(z, max_cond_size=-1)
+        assert calls == []
+
+    def test_zero_max_cond_size_runs_level_zero_only(self):
+        calls = []
+
+        def independent(u, v, s):
+            calls.append(len(s))
+            return (u, v) == (0, 2)
+
+        sk = skeleton_from_ci(4, independent, max_cond_size=0)
+        assert set(calls) == {0} and len(calls) == 6
+        assert sk.sepsets == {(0, 2): frozenset()}
 
     def test_finite_sample_geometry_fork(self):
         z = sample_incidence(fork_dag(), 5000, seed=77)

@@ -1,12 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
 from conftest import make_corpus
-from fake_llm import FakeLlm, update_response
+from fake_llm import FakeLlm, parse_marked_kps, update_response
 
 from cama.client import ChatRequest
 from cama.errors import EmptyDataset, TransportError, UnknownKey
-from cama.graph import Mcg, graphs_equal, topological_order, verbalize
+from cama.graph import Mcg, extract_subgraph, graphs_equal, topological_order, verbalize
 from cama.learning import (
     AlignmentConfig,
     AlignmentHistory,
@@ -94,6 +96,33 @@ class TestExtractAll:
         assert len(prompts) == 4
         # no cross-question leakage: each prompt carries exactly its own question
         assert sum("Problem q01:" in p for p in prompts) == 1
+
+    def test_failed_extractions_degrade_to_empty_rows(self, small_corpus, fake_llm, caplog):
+        class Degrading:
+            """q02's reply has no point lines; q03's request fails."""
+
+            def complete(self, request: ChatRequest) -> str:
+                if "Problem q03:" in request.prompt:
+                    raise TransportError("extraction endpoint down")
+                if "Problem q02:" in request.prompt:
+                    return "Part 3: Final Output.\n\nnothing here"
+                return fake_llm.complete(request)
+
+        with caplog.at_level(logging.WARNING, logger="cama.learning"):
+            records = extract_all(small_corpus, 3, Degrading())
+        intact = extract_all(small_corpus, 3, FakeLlm())
+        assert [r.qa_id for r in records] == ["q01", "q02", "q03", "q04"]
+        assert records[1].points == () and records[2].points == ()
+        assert records[0] == intact[0] and records[3] == intact[3]
+        warned = [r.getMessage() for r in caplog.records]
+        assert any("q02" in m and "no knowledge-point lines" in m for m in warned)
+        assert any("q03" in m and "extraction endpoint down" in m for m in warned)
+
+        canonical, replacements = deduplicate(records, fake_llm)
+        z = build_incidence_matrix(records, canonical, replacements)
+        assert z.row_ids == ("q01", "q02", "q03", "q04")
+        assert not z.cells[1].any() and not z.cells[2].any()
+        assert z.cells[0].any() and z.cells[3].any()
 
 
 class TestDeduplicate:
@@ -299,8 +328,28 @@ class TestRunAlignmentRound:
         result = run_alignment_round(g, small_corpus, AlignmentHistory(7), fake_llm)
         assert result.precision == 1.0
         assert graphs_equal(result.graph, g)
-        assert len(result.quadruples) == 4
-        assert all(q.correct for q in result.quadruples)
+        correct_section, incorrect_section = fake_llm.prompts("p_u")[0].split(
+            "Incorrectly Answered Questions"
+        )
+        assert all(f"Problem {q.id}:" in correct_section for q in small_corpus)
+        assert "`(none)`" in incorrect_section
+
+    def test_feedback_carries_answer_prompt_subgraph(self, small_corpus):
+        llm = FakeLlm(wrong_ids={"q02"})
+        g = Mcg(nodes=alignment_graph().nodes, directed={(0, 1)}, undirected={(1, 2)})
+        run_alignment_round(g, small_corpus, AlignmentHistory(7), llm)
+        update_prompt = llm.prompts("p_u")[0]
+        for record, answer_prompt in zip(small_corpus, llm.prompts("p_a")):
+            kps = parse_marked_kps(record.question)
+            chosen = [i for i, p in enumerate(g.nodes) if p.key in kps]
+            view = verbalize(extract_subgraph(g, chosen))
+            entry = (
+                f"## Question\n{record.question}\n\n## Solution\n{record.solution}\n\n"
+                f"## Matched Knowledge Points\n{view.elements_text()}\n\n"
+                f"## Recorded Relations\n{view.relations_text() or '(none)'}"
+            )
+            assert view.elements_text() in answer_prompt
+            assert entry in update_prompt
 
     def test_edit_creates_edge(self, small_corpus):
         llm = FakeLlm(

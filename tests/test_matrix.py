@@ -20,6 +20,21 @@ class TestInvariants:
                 cells=np.array([[2]]), row_ids=("r",), col_keys=("a",)
             )
 
+    @pytest.mark.parametrize("value", [257, 0.7, -1, 2.0, 1.5])
+    def test_values_changed_by_the_cast_rejected(self, value):
+        for cells in ([[0, value]], np.array([[0, value]])):
+            with pytest.raises(ValueError):
+                IncidenceMatrix(cells=cells, row_ids=("r",), col_keys=("a", "b"))
+
+    @pytest.mark.parametrize(
+        "cells",
+        [[[0.0, 1.0]], np.array([[0.0, 1.0]], dtype=np.float32), [[False, True]], [[0, 1]]],
+    )
+    def test_exact_zero_one_values_accepted(self, cells):
+        z = IncidenceMatrix(cells=cells, row_ids=("r",), col_keys=("a", "b"))
+        assert z.cells.dtype == np.uint8
+        assert z.cells.tolist() == [[0, 1]]
+
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError):
             IncidenceMatrix(

@@ -104,15 +104,6 @@ class TestAnswerQuestion:
         assert not outcome.correct and not outcome.failed
         assert outcome.parsed_answer == "2"
 
-    def test_custom_judge_plugs_in(self, fake_llm):
-        always_yes = lambda predicted, truth: True
-        record = make_corpus([("q01", 1, 1, ["alpha"])])[0]
-        llm = FakeLlm(wrong_ids={"q01"})
-        strict = answer_question(guided_graph(), record, llm)
-        lenient = answer_question(guided_graph(), record, FakeLlm(wrong_ids={"q01"}), judge=always_yes)
-        assert not strict.correct
-        assert lenient.correct
-
 
 class TestHighIndexFactorCase:
     def test_factors_1_and_16_guide_to_211(self):
