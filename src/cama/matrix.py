@@ -26,6 +26,9 @@ class IncidenceMatrix:
 
     def __post_init__(self):
         given = np.asarray(self.cells)
+        # NaN and infinity have no uint8 value: the cast would warn first
+        if given.dtype.kind in "fc" and not np.isfinite(given).all():
+            raise ValueError("cells must contain only 0 and 1")
         cells = np.array(given, dtype=np.uint8, order="F")
         if cells.ndim != 2:
             raise ValueError("cells must be a 2-D array")

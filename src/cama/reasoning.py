@@ -122,7 +122,7 @@ def answer_questions(
     n = len(records)
     traces = [""] * n
     chosen: list[frozenset[int]] = [frozenset()] * n
-    subgraphs = [extract_subgraph(g, ())] * n
+    subgraphs: dict[int, Mcg] = {}
     views = [Verbalization(elements=(), relations=())] * n
     raw_answers = [""] * n
     failures: dict[int, str] = {}
@@ -186,6 +186,8 @@ def answer_questions(
         except CamaError as e:
             fail(i, e)
 
+    # a question that failed before p_a carries an empty subgraph
+    no_subgraph = extract_subgraph(g, ()) if len(subgraphs) < n else None
     outcomes = []
     for i, q in enumerate(records):
         answer = parsed.get(i, "")
@@ -194,7 +196,7 @@ def answer_questions(
                 qa_id=q.id,
                 trace=traces[i],
                 chosen=chosen[i],
-                subgraph=subgraphs[i],
+                subgraph=subgraphs.get(i, no_subgraph),
                 view=views[i],
                 raw_answer=raw_answers[i],
                 parsed_answer=answer,

@@ -224,26 +224,28 @@ TEMPLATE_TAGS = tuple(TEMPLATES)
 
 _PLACEHOLDER = re.compile(r"(?<!\{)\{([a-z_]+)\}(?!\})")
 
+# each template split once into literal text at the even indices and
+# placeholder names at the odd ones
+_SEGMENTS: dict[str, list[str]] = {
+    tag: _PLACEHOLDER.split(text) for tag, text in TEMPLATES.items()
+}
+
 PLACEHOLDERS: dict[str, frozenset[str]] = {
-    tag: frozenset(_PLACEHOLDER.findall(text)) for tag, text in TEMPLATES.items()
+    tag: frozenset(segments[1::2]) for tag, segments in _SEGMENTS.items()
 }
 
 
 def render_template(tag: str, bindings: dict[str, str]) -> str:
     """Substitute the template's placeholders and return the prompt text.
 
-    Substitution is a single simultaneous pass over the template, so
+    The literal segments are joined with the bindings in one pass, so
     braces inside binding values are never re-expanded.
     """
     if tag not in TEMPLATES:
         raise UnknownTag(f"no template registered for tag {tag!r}")
-    required = PLACEHOLDERS[tag]
-    for name in sorted(required):
+    for name in sorted(PLACEHOLDERS[tag]):
         if name not in bindings:
             raise MissingBinding(name)
-
-    def substitute(match: re.Match) -> str:
-        name = match.group(1)
-        return str(bindings[name]) if name in required else match.group(0)
-
-    return _PLACEHOLDER.sub(substitute, TEMPLATES[tag])
+    parts = _SEGMENTS[tag].copy()
+    parts[1::2] = [str(bindings[name]) for name in parts[1::2]]
+    return "".join(parts)

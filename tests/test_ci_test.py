@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammainccinv
 
 import cama.discovery
 from cama.discovery import (
     CiTestResult,
+    _independent,
     chi2_sf,
     cpdag_from_ci,
     discover_cpdag,
@@ -270,6 +272,12 @@ def assert_batch_matches_scalar(z, x, y, s):
         assert got == (want.statistic, want.dof, want.p_value, want.independent), (t, got, want)
 
 
+def random_tests(rng, k: int, size: int, count: int):
+    """``count`` tests on k columns with random x, y and an unsorted s of ``size``."""
+    picks = np.array([rng.permutation(k)[: size + 2] for _ in range(count)])
+    return picks[:, 0], picks[:, 1], picks[:, 2:]
+
+
 def all_tests(k: int, size: int):
     """(x, y, s) of every test on k columns with |s| = size <= 1."""
     triples = [
@@ -319,14 +327,77 @@ class TestGSquaredBatch:
     def test_rejects_what_the_scalar_test_rejects(self):
         z = sweep_matrix(np.random.default_rng(0), 10, 2, "dense")
         with pytest.raises(ValueError):
-            g_squared_ci_batch(z, [0], [1], [[2, 3]], alpha=0.05)
-        with pytest.raises(ValueError):
             g_squared_ci_batch(z, [0], [1], [[2]], alpha=1.0)
         with pytest.raises(ValueError):
             g_squared_ci_batch(z, [0, 0], [1, 2], [[3], [2]], alpha=0.05)
+        with pytest.raises(ValueError):  # a conditioning column twice
+            g_squared_ci_batch(z, [0], [1], [[3, 3]], alpha=0.05)
+        with pytest.raises(ValueError):  # s is not (T, |S|)
+            g_squared_ci_batch(z, [0], [1], [2, 3], alpha=0.05)
         for bad in ([[-1]], [[4]]):
             with pytest.raises(ColumnOutOfRange):
                 g_squared_ci_batch(z, [0], [1], bad, alpha=0.05)
+        wide = sweep_matrix(np.random.default_rng(0), 10, 31, "dense")
+        with pytest.raises(StratumOverflow):
+            g_squared_ci_batch(wide, [0], [1], [list(range(2, 33))], alpha=0.05)
+
+    @pytest.mark.parametrize("rows", [1, 5, 40, 300, 3000])
+    def test_matches_stratum_loop_at_every_level(self, rows):
+        # 12 columns, each test with random x, y and an unsorted s; with 1,
+        # 5 and 40 rows the larger s have more possible strata than rows
+        rng = np.random.default_rng(rows)
+        for size in range(9):
+            for kind in ("sparse", "dense", "mixed"):
+                z = sweep_matrix(rng, rows, 10, kind)
+                x, y, s = random_tests(rng, z.cols, size, 8)
+                assert_batch_matches_scalar(z, x, y, s)
+                statistic, dof, p_value, independent = g_squared_ci_batch(z, x, y, s, 0.05)
+                for t in range(len(x)):
+                    want = g2_stratum_loop(z, x[t], y[t], frozenset(s[t].tolist()), 0.05)
+                    case = (rows, size, kind, t)
+                    assert (dof[t], independent[t]) == (want.dof, want.independent), case
+                    assert statistic[t] == pytest.approx(want.statistic, rel=1e-9, abs=0), case
+                    assert p_value[t] == pytest.approx(want.p_value, rel=1e-9, abs=0), case
+
+    @pytest.mark.parametrize("rows", [5, 300, 3000])
+    def test_chunks_and_bincount_fallback_agree(self, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        z = sweep_matrix(rng, rows, 10, "mixed")
+        words = -(-rows // 64)
+        for size in (0, 1, 3, 6):
+            x, y, s = random_tests(rng, z.cols, size, 13)
+            want = g_squared_ci_batch(z, x, y, s, 0.05)
+            # chunks of one test, of two and a part, and of all but one
+            per_test = (1 << size) * words
+            for budget in (1, per_test * 2 + 1, per_test * 12):
+                monkeypatch.setattr(cama.discovery, "_BATCH_WORDS", budget)
+                got = g_squared_ci_batch(z, x, y, s, 0.05)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (size, budget)
+            monkeypatch.undo()
+            for masks in (True, False):
+                monkeypatch.setattr(
+                    cama.discovery, "_masks_are_cheaper", lambda level, words: masks
+                )
+                got = g_squared_ci_batch(z, x, y, s, 0.05)
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (size, masks)
+            monkeypatch.undo()
+
+    def test_thirty_conditioning_columns_fall_back_to_bincount(self):
+        # 2**30 stratum masks per test are out of reach: each test is a bincount
+        rng = np.random.default_rng(30)
+        z = sweep_matrix(rng, 200, 30, "dense")
+        assert not cama.discovery._masks_are_cheaper(30, 4)
+        x, y, s = random_tests(rng, z.cols, 30, 3)
+        assert_batch_matches_scalar(z, x, y, s)
+
+    def test_crossover_prefers_masks_at_low_levels(self):
+        # the measured crossover: masks up to |S| = 8 with one word of rows,
+        # 6 with 3k rows (47 words) and 4 with 50k rows (782 words)
+        cheaper = cama.discovery._masks_are_cheaper
+        for words, last in ((1, 8), (47, 6), (782, 4)):
+            assert [cheaper(level, words) for level in range(12)] == [
+                level <= last for level in range(12)
+            ], words
 
 
 def recorded_sizes(monkeypatch, name):
@@ -343,13 +414,47 @@ def recorded_sizes(monkeypatch, name):
     return sizes
 
 
-def test_discover_cpdag_batches_levels_0_and_1(monkeypatch):
+def test_discover_cpdag_batches_every_level(monkeypatch):
+    # one kernel call per wave, with |S| never falling, and no scalar test
     scalar = recorded_sizes(monkeypatch, "g_squared_ci_test")
-    batched = recorded_sizes(monkeypatch, "g_squared_ci_batch")
+    batched = []
+    kernel = cama.discovery._g_squared_batch
+
+    def recording(z, words, x, y, s):
+        batched.append(s.shape[1])
+        return kernel(z, words, x, y, s)
+
+    monkeypatch.setattr(cama.discovery, "_g_squared_batch", recording)
     z = sample_incidence(random_true_dag(12, 2 / 11, seed=3), 4000, seed=3)
     discover_cpdag(z)
-    assert batched == [0, 1]
-    assert scalar and min(scalar) >= 2
+    assert not scalar
+    assert batched == sorted(batched) and batched.count(0) == 1
+    assert set(batched) >= {0, 1, 2} and batched.count(1) > 1
+
+
+class TestIndependentDecision:
+    def test_equals_p_value_above_alpha_around_the_cut(self):
+        # statistics on, just off and far off the cut where p = alpha
+        rng = np.random.default_rng(0)
+        for alpha in (1e-6, 0.01, 0.05, 0.5, 0.99):
+            for dof in (1, 2, 3, 4, 7, 16, 64, 256):
+                cut = 2.0 * gammainccinv(dof / 2.0, alpha)
+                offsets = np.concatenate(
+                    [[0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-6, 2e-6, 1e-4, 0.1, 1.0],
+                     rng.uniform(0, 2e-6, 20)]
+                )
+                statistic = np.concatenate(
+                    [cut * (1 + offsets), cut * (1 - offsets[offsets < 1]), [0.0, 1e4],
+                     np.nextafter(cut, [0.0, np.inf])]
+                )
+                dofs = np.full(len(statistic), dof)
+                want = chi2_sf(statistic, dofs) > alpha
+                assert np.array_equal(_independent(statistic, dofs, alpha), want), (alpha, dof)
+
+    def test_zero_dof_is_independent(self):
+        statistic = np.array([0.0, 0.0, 5.0])
+        dof = np.array([0, 1, 1])
+        assert _independent(statistic, dof, 0.05).tolist() == [True, True, False]
 
 
 def test_oracle_decisions_stay_scalar(monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,14 @@ class TestInvariants:
         for cells in ([[0, value]], np.array([[0, value]])):
             with pytest.raises(ValueError):
                 IncidenceMatrix(cells=cells, row_ids=("r",), col_keys=("a", "b"))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cells_rejected_without_a_warning(self, value):
+        for cells in ([[0, value]], np.array([[0, value]], dtype=np.float32)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^cells must contain only 0 and 1$"):
+                    IncidenceMatrix(cells=cells, row_ids=("r",), col_keys=("a", "b"))
 
     @pytest.mark.parametrize(
         "cells",

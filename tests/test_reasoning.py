@@ -10,11 +10,12 @@ import pytest
 from conftest import make_corpus
 from fake_llm import FakeLlm
 
+import cama.reasoning
 from cama.client import ChatRequest, HttpChatClient, RecordingClient, ScriptedChatClient
 from cama.errors import EmptyTestSet, TransportError
-from cama.graph import Mcg, extract_subgraph, graphs_equal
+from cama.graph import Mcg, Verbalization, extract_subgraph, graphs_equal
 from cama.model import KnowledgePoint, QaRecord
-from cama.reasoning import answer_question, evaluate, judge_exact
+from cama.reasoning import answer_question, answer_questions, evaluate, judge_exact
 
 
 def guided_graph() -> Mcg:
@@ -97,6 +98,29 @@ class TestAnswerQuestion:
 
         outcome = answer_question(guided_graph(), self.record(), Dead())
         assert outcome.failed and not outcome.correct
+
+    def test_empty_subgraph_only_for_questions_failing_before_p_a(self, monkeypatch):
+        calls = []
+
+        def counting(g, selected):
+            calls.append(tuple(selected))
+            return extract_subgraph(g, selected)
+
+        monkeypatch.setattr(cama.reasoning, "extract_subgraph", counting)
+        records = make_corpus([(f"q{i:02d}", i, i + 1, ["alpha"]) for i in range(4)])
+        outcomes = answer_questions(guided_graph(), records, FakeLlm())
+        assert not any(o.failed for o in outcomes)
+        assert calls == [(0,)] * 4  # one per answered question, no empty default
+
+        class NoMatch(FakeLlm):
+            def _match(self, prompt):
+                return "no factor list here"
+
+        calls.clear()
+        outcomes = answer_questions(guided_graph(), records, NoMatch())
+        assert calls == [()] and all(o.failed for o in outcomes)
+        for o in outcomes:
+            assert o.subgraph.k == 0 and o.view == Verbalization(elements=(), relations=())
 
     def test_no_ground_truth_never_correct(self, fake_llm):
         record = QaRecord(id="adhoc", question="Problem adhoc: compute 1 + 1. [kps: alpha]")
