@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,6 +76,8 @@ _SCALAR_KEYS = {
     "mode": str,
     "transcript": str,
 }
+# a line up to its comment: a # inside a double-quoted value is kept
+_CONTENT = re.compile(r'(?:[^#"]|"[^"]*"?)*')
 _ALIGN_KEYS = {"m": int, "s_b": int, "n_e": int, "r": int, "c_stop": int, "seed": int}
 # file keys whose Config field has another name; every other key is its field
 _FIELD_OF_KEY = {
@@ -98,9 +101,11 @@ def parse_config_text(text: str) -> dict:
     """Flat ``key = value`` document with # comments; dotted alignment keys."""
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _CONTENT.match(line).group().strip()
         if not stripped:
             continue
+        if stripped.count('"') % 2:
+            raise ConfigError(f"config line {lineno} has an unclosed quote")
         if "=" not in stripped:
             raise ConfigError(f"config line {lineno} is not 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))

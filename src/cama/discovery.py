@@ -25,7 +25,6 @@ from itertools import chain, combinations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
 
 from .errors import ColumnOutOfRange, StratumOverflow
 from .graph import GraphBuilder, Mcg
@@ -59,6 +58,9 @@ def chi2_sf(x: float | np.ndarray, dof: int | np.ndarray) -> float | np.ndarray:
 
     Elementwise over arrays, 1 where dof <= 0; scalars give a scalar.
     """
+    # imported here: scipy.special is over half of the package's import time
+    from scipy.special import gammaincc
+
     return np.where(np.greater(dof, 0), gammaincc(dof / 2.0, x / 2.0), 1.0)[()]
 
 
@@ -155,6 +157,9 @@ def _independent(statistic: np.ndarray, dof: np.ndarray, alpha: float) -> np.nda
     error of gammaincc or gammainccinv. Statistics nearer the cut get their
     p-value. A test with zero dof has the cut +inf, so it is independent.
     """
+    # imported here: scipy.special is over half of the package's import time
+    from scipy.special import gammainccinv
+
     dofs, index = np.unique(dof, return_inverse=True)
     cuts = np.full(len(dofs), np.inf)
     live = dofs > 0

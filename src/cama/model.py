@@ -85,10 +85,18 @@ class ReplacementMap:
         return normalize_key(key) in self.pairs
 
 
+def _text(value, field: str) -> str:
+    """A QA text field: a string, or a number written out; null is refused."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"{field} must be a string or a number")
+    return str(value)
+
+
 def load_qa_records(path: str | Path) -> list[QaRecord]:
     """Load a QA corpus from a JSON list of records.
 
-    Enforces corpus invariants: unique ids, non-empty answers.
+    Enforces corpus invariants: unique ids, non-empty answers, id, question
+    and answer given as text or a number, solution as text or null.
     """
     raw = Path(path).read_text(encoding="utf-8")
     try:
@@ -104,11 +112,13 @@ def load_qa_records(path: str | Path) -> list[QaRecord]:
             raise ParseError(f"QA entry {i} is not an object")
         try:
             rec = QaRecord(
-                id=str(item["id"]),
-                question=str(item["question"]),
-                answer=str(item.get("answer", "")),
+                id=_text(item["id"], "id"),
+                question=_text(item["question"], "question"),
+                answer=_text(item.get("answer", ""), "answer"),
                 solution=item.get("solution"),
             )
+            if rec.solution is not None and not isinstance(rec.solution, str):
+                raise ValueError("solution must be a string or null")
         except (KeyError, ValueError) as e:
             raise ParseError(f"QA entry {i} is invalid: {e}") from e
         if not rec.answer.strip():

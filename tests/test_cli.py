@@ -79,6 +79,19 @@ class TestConfig:
         assert cfg.alignment.s_b == 2
         assert cfg.alignment.c_stop == 5
 
+    def test_hash_inside_quotes_is_kept(self, tmp_path):
+        cfg_file = tmp_path / "cama.conf"
+        cfg_file.write_text(
+            'api_base = "http://h/v1#x"  # the gateway\n'
+            "model = m#1 # an unquoted hash starts a comment\n"
+        )
+        cfg = load_config(cfg_file)
+        assert cfg.api_base == "http://h/v1#x"
+        assert cfg.model == "m"
+        cfg_file.write_text('api_base = "http://h/v1 # unclosed\n')
+        with pytest.raises(ConfigError, match="line 1 has an unclosed quote"):
+            load_config(cfg_file)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.conf"
         cfg_file.write_text("mystery_knob = 1\n")

@@ -1,8 +1,17 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cama.model import KnowledgePoint, QaRecord, ReplacementMap, normalize_key
+from cama.errors import ParseError
+from cama.model import (
+    KnowledgePoint,
+    QaRecord,
+    ReplacementMap,
+    load_qa_records,
+    normalize_key,
+)
 
 
 class TestNormalizeKey:
@@ -36,6 +45,45 @@ class TestQaRecord:
     def test_empty_id_rejected(self):
         with pytest.raises(ValueError):
             QaRecord(id=" ", question="q", answer="1")
+
+
+class TestLoadQaRecords:
+    def load(self, tmp_path, *entries):
+        path = tmp_path / "qa.json"
+        path.write_text(json.dumps(list(entries)), encoding="utf-8")
+        return load_qa_records(path)
+
+    def test_numbers_are_written_out(self, tmp_path):
+        (rec,) = self.load(tmp_path, {"id": 7, "question": 12, "answer": 42})
+        assert rec == QaRecord(id="7", question="12", answer="42")
+
+    def test_null_question_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r"QA entry 1 .*question"):
+            self.load(
+                tmp_path,
+                {"id": "a", "question": "q", "answer": "1"},
+                {"id": "b", "question": None, "answer": "1"},
+            )
+
+    def test_null_id_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r"QA entry 0 .*id"):
+            self.load(tmp_path, {"id": None, "question": "q", "answer": "1"})
+
+    def test_null_answer_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r"QA entry 0 .*answer"):
+            self.load(tmp_path, {"id": "a", "question": "q", "answer": None})
+
+    def test_boolean_answer_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r"QA entry 0 .*answer"):
+            self.load(tmp_path, {"id": "a", "question": "q", "answer": True})
+
+    def test_non_string_solution_rejected(self, tmp_path):
+        with pytest.raises(ParseError, match=r"QA entry 0 .*solution"):
+            self.load(tmp_path, {"id": "a", "question": "q", "answer": "1", "solution": ["x"]})
+
+    def test_null_solution_accepted(self, tmp_path):
+        (rec,) = self.load(tmp_path, {"id": "a", "question": "q", "answer": "1", "solution": None})
+        assert rec.solution is None
 
 
 class TestReplacementMap:
