@@ -6,15 +6,16 @@ conservatively, and the orientation closure rules complete the result to
 a CPDAG. The independence decision is pluggable so an exact d-separation
 oracle can stand in for the statistical test.
 
-Each level of the skeleton search runs in waves: wave r asks every pair
-still adjacent for its r-th candidate conditioning set, and one batch
-call decides all of those tests. A pair leaves at its first independent
-candidate, so the tests asked and the sepsets are those of a one-at-a-time
-search. With G-squared a batch is one kernel for any |S|: the columns are
-packed into bit words once per discovery, each stratum of S is a mask of
-ANDed packed columns, and each cell of its 2x2 table is a popcount. A
-plain independence test, such as the d-separation oracle, is lifted to a
-batch by a loop.
+The search takes one kind of decision, a batch: given T tests as x (T,),
+y (T,) and s (T, |S|), it returns a bool (T,), True where the test finds
+independence. Each level of the skeleton search runs in waves: wave r asks
+every pair still adjacent for its r-th candidate conditioning set, and one
+call of the decision answers all of those tests. A pair leaves at its
+first independent candidate, so the tests asked and the sepsets are those
+of a one-at-a-time search. With G-squared a batch is one kernel for any
+|S|: the columns are packed into bit words once per discovery, each
+stratum of S is a mask of ANDed packed columns, and each cell of its 2x2
+table is a popcount.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_ALPHA = 0.05
 DEFAULT_MAX_COND_SIZE = 8
 
-# decision: True means "independent at level alpha"
-IndependenceTest = Callable[[int, int, frozenset], bool]
 # decision for a level's candidates at once: x (T,), y (T,), s (T, level)
+# in, True where independent out
 BatchTest = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 # packed words per operand in one chunk of a batch, which bounds its memory
@@ -226,7 +226,14 @@ def _g_squared_batch(
     z: IncidenceMatrix, words: np.ndarray, x: np.ndarray, y: np.ndarray, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Statistic and dof of T valid tests that share |S|, from the columns
-    of ``z`` packed by ``_bit_columns`` into ``words``."""
+    of ``z`` packed by ``_bit_columns`` into ``words``; each equals
+    ``g_squared_ci_test``'s bit for bit.
+
+    ``x`` and ``y`` hold T columns and ``s`` has shape (T, |S|); its rows
+    need not be sorted. Tests go in chunks of about ``_BATCH_WORDS`` words
+    per operand. At levels where the 2**|S| stratum masks would cost more
+    than a bincount of the rows, each test is a bincount instead.
+    """
     level = s.shape[1]
     statistic = np.empty(len(x))
     dof = np.empty(len(x), dtype=np.int64)
@@ -245,44 +252,13 @@ def _g_squared_batch(
     return statistic, dof
 
 
-def g_squared_ci_batch(
-    z: IncidenceMatrix, x: np.ndarray, y: np.ndarray, s: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Statistic, dof, p-value and decision of T tests that share |S|, each
-    equal to ``g_squared_ci_test``'s field bit for bit.
-
-    ``x`` and ``y`` hold T columns and ``s`` has shape (T, |S|); its rows
-    need not be sorted. The columns are packed into bit words, and each
-    cell count of a stratum's table is a popcount of packed words
-    (``_mask_tables``). Tests go in chunks of about ``_BATCH_WORDS``
-    words per operand. At levels where the 2**|S| stratum masks would cost
-    more than a bincount of the rows, each test is a bincount instead.
-    """
-    x, y, s = (np.asarray(a, dtype=np.intp) for a in (x, y, s))
-    if s.ndim != 2 or s.shape[0] != len(x) or len(x) != len(y):
-        raise ValueError(f"s must have shape (T, |S|) for T = {len(x)}, got {s.shape}")
-    cols = np.concatenate([x, y, s.ravel()])
-    if cols.size and not (0 <= cols.min() and cols.max() < z.cols):
-        raise ColumnOutOfRange(f"a column is out of range for {z.cols} columns")
-    ordered = np.sort(s, axis=1)
-    if (
-        (x == y).any()
-        or (s == x[:, None]).any()
-        or (s == y[:, None]).any()
-        or (ordered[:, 1:] == ordered[:, :-1]).any()
-    ):
-        raise ValueError("x, y, and s must be distinct")
-    _check_alpha(alpha)
-    if s.shape[1] > 30:
-        raise StratumOverflow(f"conditioning set of size {s.shape[1]} exceeds 30")
-    statistic, dof = _g_squared_batch(z, _bit_columns(z.cells), x, y, s)
-    p_value = chi2_sf(statistic, dof)
-    return statistic, dof, p_value, p_value > alpha
-
-
 @dataclass(frozen=True)
 class Skeleton:
-    """Undirected adjacency plus the separating sets found for removed pairs."""
+    """Undirected adjacency plus the separating sets found for removed pairs.
+
+    ``sepsets`` maps each removed pair (u, v), keyed with u < v, to its
+    separating set as a frozenset; it is stored as given.
+    """
 
     adjacency: np.ndarray
     sepsets: dict[tuple[int, int], frozenset[int]]
@@ -294,14 +270,6 @@ class Skeleton:
         if not (adj == adj.T).all() or adj.diagonal().any():
             raise ValueError("adjacency must be symmetric with a false diagonal")
         object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(
-            self,
-            "sepsets",
-            {
-                (min(u, v), max(u, v)): frozenset(ss)
-                for (u, v), ss in self.sepsets.items()
-            },
-        )
 
     @property
     def k(self) -> int:
@@ -369,22 +337,7 @@ def _first_independent(
     return found
 
 
-def _lift(independent: IndependenceTest) -> BatchTest:
-    """A batch decision that asks ``independent`` one test at a time."""
-
-    def batch(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-        tests = zip(x.tolist(), y.tolist(), s.tolist())
-        return np.array([independent(u, v, frozenset(c)) for u, v, c in tests], dtype=bool)
-
-    return batch
-
-
-def skeleton_from_ci(
-    k: int,
-    independent: IndependenceTest | None,
-    max_cond_size: int | None = None,
-    batch: BatchTest | None = None,
-) -> Skeleton:
+def skeleton_from_ci(k: int, decide: BatchTest, max_cond_size: int | None = None) -> Skeleton:
     """Level-synchronized PC skeleton phase over an arbitrary CI decision.
 
     For growing conditioning size l, every still-adjacent pair (u, v) is
@@ -395,14 +348,14 @@ def skeleton_from_ci(
 
     A level runs in waves (``_first_independent``): wave r asks every pair
     still in play for its r-th candidate, and all of those tests are
-    decided in one call of ``batch``, or of ``independent`` lifted to a
-    batch by a loop when no ``batch`` is given. Each pair is asked the
+    decided in one call of ``decide(x, y, s)``, with x and y of shape (T,)
+    and s of shape (T, l), which returns a bool array of shape (T,), True
+    where the pair is independent given s. Each pair is asked the
     candidates a one-at-a-time search would ask, in the same order, so the
     test count of every level and the sepsets are the same.
     """
     if max_cond_size is not None and max_cond_size < 0:
         raise ValueError("max_cond_size must be >= 0")
-    decide = batch if batch is not None else _lift(independent)
     cap = min(k - 2, DEFAULT_MAX_COND_SIZE if max_cond_size is None else max_cond_size)
     adj = {i: set(range(k)) - {i} for i in range(k)}
     sepsets: dict[tuple[int, int], frozenset[int]] = {}
@@ -559,13 +512,13 @@ def meek_closure(g: Mcg) -> Mcg:
 
 def cpdag_from_ci(
     k: int,
-    independent: IndependenceTest | None,
+    decide: BatchTest,
     points: Sequence[KnowledgePoint] | None = None,
     max_cond_size: int | None = None,
-    batch: BatchTest | None = None,
 ) -> Mcg:
-    """Full PC pipeline (skeleton, colliders, closure) over a CI decision."""
-    sk = skeleton_from_ci(k, independent, max_cond_size=max_cond_size, batch=batch)
+    """Full PC pipeline (skeleton, colliders, closure) over a batch CI
+    decision, as ``skeleton_from_ci`` takes it."""
+    sk = skeleton_from_ci(k, decide, max_cond_size=max_cond_size)
     return meek_closure(orient_v_structures(sk, points))
 
 
@@ -581,7 +534,7 @@ def discover_cpdag(
     points = tuple(KnowledgePoint(key=key) for key in z.col_keys)
     words = _bit_columns(z.cells)
 
-    def batch(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def decide(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
         return _independent(*_g_squared_batch(z, words, x, y, s), alpha)
 
-    return cpdag_from_ci(z.cols, None, points, max_cond_size=max_cond_size, batch=batch)
+    return cpdag_from_ci(z.cols, decide, points, max_cond_size=max_cond_size)

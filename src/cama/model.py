@@ -31,6 +31,9 @@ class KnowledgePoint:
         normalized = normalize_key(self.key)
         if not normalized:
             raise ValueError("knowledge point key is empty after normalization")
+        if not isinstance(self.description, str):
+            kind = type(self.description).__name__
+            raise TypeError(f"knowledge point description must be a string, not {kind}")
         object.__setattr__(self, "key", normalized)
         object.__setattr__(self, "description", self.description.strip())
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discovery import _assemble, cpdag_from_ci, meek_closure
+from .discovery import BatchTest, _assemble, cpdag_from_ci, meek_closure
 from .errors import ParseError
 from .graph import Mcg, topological_order
 from .matrix import IncidenceMatrix
@@ -106,13 +106,15 @@ def d_separation_ci(dag: TrueDag, x: int, y: int, s: frozenset | set) -> bool:
     return True
 
 
-def dsep_independence(dag: TrueDag):
-    """Adapter: wrap d-separation as an independence decision for PC."""
+def dsep_independence(dag: TrueDag) -> BatchTest:
+    """d-separation in the DAG as the batch independence decision PC takes:
+    x (T,), y (T,) and s (T, |S|) in, True where d-separated out."""
 
-    def independent(x: int, y: int, s: frozenset) -> bool:
-        return d_separation_ci(dag, x, y, s)
+    def decide(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+        tests = zip(x.tolist(), y.tolist(), s.tolist())
+        return np.array([d_separation_ci(dag, u, v, c) for u, v, c in tests], dtype=bool)
 
-    return independent
+    return decide
 
 
 def oracle_cpdag(dag: TrueDag, max_cond_size: int | None = None) -> Mcg:
@@ -246,7 +248,7 @@ def load_scenario(path: str | Path) -> TrueDag:
             tuple(index[p] for p in doc["parents"][name]) for name in names
         )
         cpt = tuple(np.asarray(doc["cpt"][name], dtype=np.float64) for name in names)
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed scenario document: {e}") from e
     try:
         return TrueDag(names=names, parents=parents, cpt=cpt)

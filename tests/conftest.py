@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -8,6 +9,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 from fake_llm import FakeLlm, question_text  # noqa: E402
 
 from cama.model import KnowledgePoint, QaRecord  # noqa: E402
+
+
+def one_at_a_time(independent):
+    """The batch decision PC takes, asking the scalar ``independent(u, v,
+    s)``, s a frozenset, one test at a time."""
+
+    def decide(x, y, s):
+        tests = zip(x.tolist(), y.tolist(), s.tolist())
+        return np.array([independent(u, v, frozenset(c)) for u, v, c in tests], dtype=bool)
+
+    return decide
 
 
 @pytest.fixture

@@ -5,27 +5,24 @@ import pytest
 from scipy import integrate
 from scipy.special import gammainccinv
 
+from conftest import one_at_a_time
+
 import cama.discovery
 from cama.discovery import (
     CiTestResult,
+    _bit_columns,
+    _g_squared_batch,
     _independent,
     chi2_sf,
     cpdag_from_ci,
     discover_cpdag,
-    g_squared_ci_batch,
     g_squared_ci_test,
 )
 from cama.errors import ColumnOutOfRange, StratumOverflow
 from cama.graph import serialize_graph
 from cama.matrix import IncidenceMatrix
 from cama.model import KnowledgePoint
-from cama.oracle import (
-    TrueDag,
-    dsep_independence,
-    random_true_dag,
-    sample_incidence,
-    true_cpdag,
-)
+from cama.oracle import TrueDag, random_true_dag, sample_incidence
 
 
 def matrix_from_counts(counts: dict[tuple[int, ...], int], k: int) -> IncidenceMatrix:
@@ -262,10 +259,19 @@ class TestGSquared:
             assert result == CiTestResult(statistic=0.0, dof=0, p_value=1.0, independent=True)
 
 
+def batch_kernel(z, x, y, s, alpha=0.05):
+    """Statistic, dof, p-value and decision of T tests that share |S|, from
+    the code discover_cpdag runs: ``_g_squared_batch`` over the packed
+    columns, ``chi2_sf`` and ``_independent``."""
+    x, y, s = (np.asarray(a, dtype=np.intp) for a in (x, y, s))
+    statistic, dof = _g_squared_batch(z, _bit_columns(z.cells), x, y, s)
+    return statistic, dof, chi2_sf(statistic, dof), _independent(statistic, dof, alpha)
+
+
 def assert_batch_matches_scalar(z, x, y, s):
     """Every field of every batched test equals the scalar kernel's, bit for bit."""
     x, y, s = np.asarray(x), np.asarray(y), np.asarray(s).reshape(len(x), -1)
-    statistic, dof, p_value, independent = g_squared_ci_batch(z, x, y, s, alpha=0.05)
+    statistic, dof, p_value, independent = batch_kernel(z, x, y, s)
     for t in range(len(x)):
         want = g_squared_ci_test(z, int(x[t]), int(y[t]), frozenset(s[t].tolist()), 0.05)
         got = (float(statistic[t]), int(dof[t]), float(p_value[t]), bool(independent[t]))
@@ -309,7 +315,7 @@ class TestGSquaredBatch:
         )
         assert_batch_matches_scalar(z, *all_tests(4, 0))
         assert_batch_matches_scalar(z, *all_tests(4, 1))
-        dof = g_squared_ci_batch(z, [0, 0], [1, 1], [[2], [3]], alpha=0.05)[1]
+        dof = batch_kernel(z, [0, 0], [1, 1], [[2], [3]])[1]
         assert dof.tolist() == [0, 1]
 
     def test_rows_past_one_packed_word(self):
@@ -321,25 +327,8 @@ class TestGSquaredBatch:
     def test_empty_batch(self):
         z = sweep_matrix(np.random.default_rng(0), 10, 1, "dense")
         for size in (0, 1):
-            out = g_squared_ci_batch(z, [], [], np.zeros((0, size), dtype=int), 0.05)
+            out = batch_kernel(z, [], [], np.zeros((0, size), dtype=int))
             assert [len(a) for a in out] == [0, 0, 0, 0]
-
-    def test_rejects_what_the_scalar_test_rejects(self):
-        z = sweep_matrix(np.random.default_rng(0), 10, 2, "dense")
-        with pytest.raises(ValueError):
-            g_squared_ci_batch(z, [0], [1], [[2]], alpha=1.0)
-        with pytest.raises(ValueError):
-            g_squared_ci_batch(z, [0, 0], [1, 2], [[3], [2]], alpha=0.05)
-        with pytest.raises(ValueError):  # a conditioning column twice
-            g_squared_ci_batch(z, [0], [1], [[3, 3]], alpha=0.05)
-        with pytest.raises(ValueError):  # s is not (T, |S|)
-            g_squared_ci_batch(z, [0], [1], [2, 3], alpha=0.05)
-        for bad in ([[-1]], [[4]]):
-            with pytest.raises(ColumnOutOfRange):
-                g_squared_ci_batch(z, [0], [1], bad, alpha=0.05)
-        wide = sweep_matrix(np.random.default_rng(0), 10, 31, "dense")
-        with pytest.raises(StratumOverflow):
-            g_squared_ci_batch(wide, [0], [1], [list(range(2, 33))], alpha=0.05)
 
     @pytest.mark.parametrize("rows", [1, 5, 40, 300, 3000])
     def test_matches_stratum_loop_at_every_level(self, rows):
@@ -351,7 +340,7 @@ class TestGSquaredBatch:
                 z = sweep_matrix(rng, rows, 10, kind)
                 x, y, s = random_tests(rng, z.cols, size, 8)
                 assert_batch_matches_scalar(z, x, y, s)
-                statistic, dof, p_value, independent = g_squared_ci_batch(z, x, y, s, 0.05)
+                statistic, dof, p_value, independent = batch_kernel(z, x, y, s)
                 for t in range(len(x)):
                     want = g2_stratum_loop(z, x[t], y[t], frozenset(s[t].tolist()), 0.05)
                     case = (rows, size, kind, t)
@@ -366,19 +355,19 @@ class TestGSquaredBatch:
         words = -(-rows // 64)
         for size in (0, 1, 3, 6):
             x, y, s = random_tests(rng, z.cols, size, 13)
-            want = g_squared_ci_batch(z, x, y, s, 0.05)
+            want = batch_kernel(z, x, y, s)
             # chunks of one test, of two and a part, and of all but one
             per_test = (1 << size) * words
             for budget in (1, per_test * 2 + 1, per_test * 12):
                 monkeypatch.setattr(cama.discovery, "_BATCH_WORDS", budget)
-                got = g_squared_ci_batch(z, x, y, s, 0.05)
+                got = batch_kernel(z, x, y, s)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (size, budget)
             monkeypatch.undo()
             for masks in (True, False):
                 monkeypatch.setattr(
                     cama.discovery, "_masks_are_cheaper", lambda level, words: masks
                 )
-                got = g_squared_ci_batch(z, x, y, s, 0.05)
+                got = batch_kernel(z, x, y, s)
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (size, masks)
             monkeypatch.undo()
 
@@ -400,23 +389,12 @@ class TestGSquaredBatch:
             ], words
 
 
-def recorded_sizes(monkeypatch, name):
-    """Wrap cama.discovery.<name> and return the list of conditioning-set
-    sizes it is called with."""
-    sizes = []
-    original = getattr(cama.discovery, name)
-
-    def recording(z, x, y, s, alpha):
-        sizes.append(len(s) if name == "g_squared_ci_test" else np.shape(s)[1])
-        return original(z, x, y, s, alpha)
-
-    monkeypatch.setattr(cama.discovery, name, recording)
-    return sizes
-
-
 def test_discover_cpdag_batches_every_level(monkeypatch):
     # one kernel call per wave, with |S| never falling, and no scalar test
-    scalar = recorded_sizes(monkeypatch, "g_squared_ci_test")
+    def scalar_test(*args):
+        raise AssertionError("discover_cpdag ran a scalar test")
+
+    monkeypatch.setattr(cama.discovery, "g_squared_ci_test", scalar_test)
     batched = []
     kernel = cama.discovery._g_squared_batch
 
@@ -427,7 +405,6 @@ def test_discover_cpdag_batches_every_level(monkeypatch):
     monkeypatch.setattr(cama.discovery, "_g_squared_batch", recording)
     z = sample_incidence(random_true_dag(12, 2 / 11, seed=3), 4000, seed=3)
     discover_cpdag(z)
-    assert not scalar
     assert batched == sorted(batched) and batched.count(0) == 1
     assert set(batched) >= {0, 1, 2} and batched.count(1) > 1
 
@@ -457,22 +434,6 @@ class TestIndependentDecision:
         assert _independent(statistic, dof, 0.05).tolist() == [True, True, False]
 
 
-def test_oracle_decisions_stay_scalar(monkeypatch):
-    batched = recorded_sizes(monkeypatch, "g_squared_ci_batch")
-    dag = random_true_dag(8, 0.4, seed=5)
-    oracle = dsep_independence(dag)
-    sizes = []
-
-    def independent(u, v, s):
-        sizes.append(len(s))
-        return oracle(u, v, s)
-
-    points = tuple(KnowledgePoint(key=name) for name in dag.names)
-    cpdag = cpdag_from_ci(dag.k, independent, points)
-    assert serialize_graph(cpdag) == serialize_graph(true_cpdag(dag))
-    assert {0, 1} <= set(sizes) and not batched
-
-
 def sparse_dag(k: int, seed: int) -> TrueDag:
     """random_true_dag's structure with the tables of extracted incidence: a
     point is present with p in [0.25, 0.6] when any parent is and in [0.03,
@@ -496,7 +457,7 @@ def assert_cpdag_bytes_match(z, max_cond_size=None):
     points = tuple(KnowledgePoint(key=key) for key in z.col_keys)
     reference = cpdag_from_ci(
         z.cols,
-        lambda u, v, s: g2_stratum_loop(z, u, v, s, 0.05).independent,
+        one_at_a_time(lambda u, v, s: g2_stratum_loop(z, u, v, s, 0.05).independent),
         points,
         max_cond_size=max_cond_size,
     )

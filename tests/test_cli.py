@@ -193,6 +193,16 @@ class TestDiscoverCommand:
         stored = load_graph(tmp_path / "true_cpdag.json")
         assert graphs_equal(stored, true_cpdag(dag))
 
+    def test_non_numeric_cpt_machine_readable_error(self, runner, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(
+            '{"nodes": ["a"], "parents": {"a": []}, "cpt": {"a": [["x", 1]]}}'
+        )
+        result = runner.invoke(main, ["synth", str(scenario), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        error = json.loads(result.output.strip().splitlines()[-1])
+        assert error["error"] == "ParseError"
+
     def test_malformed_csv_machine_readable_error(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,a\nr1,2\n")

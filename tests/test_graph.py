@@ -294,6 +294,12 @@ class TestSerialization:
         with pytest.raises(ParseError):
             deserialize_graph(doc)
 
+    @pytest.mark.parametrize("description", ["null", "3", "[]"])
+    def test_non_string_description_rejected(self, description):
+        doc = f'{{"version": 1, "nodes": [{{"key": "a", "description": {description}}}]}}'
+        with pytest.raises(ParseError, match="description"):
+            deserialize_graph(doc)
+
     def test_accepts_bytes(self):
         g = Mcg(nodes=points(2), directed={(0, 1)})
         assert graphs_equal(deserialize_graph(serialize_graph(g).encode()), g)

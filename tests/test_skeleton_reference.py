@@ -16,7 +16,7 @@ import pytest
 
 import cama.discovery
 from cama.discovery import DEFAULT_MAX_COND_SIZE, discover_cpdag, g_squared_ci_test, skeleton_from_ci
-from cama.oracle import dsep_independence, random_true_dag, sample_incidence
+from cama.oracle import d_separation_ci, dsep_independence, random_true_dag, sample_incidence
 
 from test_ci_test import sparse_dag
 
@@ -77,6 +77,17 @@ def counted(independent):
     return counting, sizes
 
 
+def counted_batch(decide):
+    """``decide`` and a Counter of the tests it is asked, per |S|."""
+    sizes = Counter()
+
+    def counting(x, y, s):
+        sizes[s.shape[1]] += len(x)
+        return decide(x, y, s)
+
+    return counting, sizes
+
+
 def assert_same_search(got, got_sizes, want, want_sizes, case):
     adjacency, sepsets = want
     assert (got.adjacency == adjacency).all(), case
@@ -90,9 +101,9 @@ def test_oracle_waves_ask_the_reference_tests():
         k = 4 + seed % 7
         dag = random_true_dag(k, (0.2, 0.35, 0.5)[seed % 3], seed=seed)
         for max_cond_size in (None, 1):
-            independent, got_sizes = counted(dsep_independence(dag))
-            got = skeleton_from_ci(k, independent, max_cond_size=max_cond_size)
-            independent, want_sizes = counted(dsep_independence(dag))
+            decide, got_sizes = counted_batch(dsep_independence(dag))
+            got = skeleton_from_ci(k, decide, max_cond_size=max_cond_size)
+            independent, want_sizes = counted(lambda u, v, s: d_separation_ci(dag, u, v, s))
             want = ref_skeleton_from_ci(k, independent, max_cond_size)
             assert_same_search(got, got_sizes, want, want_sizes, (seed, max_cond_size))
             deepest = max(deepest, *want_sizes)
