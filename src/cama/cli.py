@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 
 from . import learning, reasoning
-from .config import Config, build_client, load_config
+from .config import build_client, load_config
 from .errors import CamaError
 from .graph import export_dot, load_graph, save_graph
 from .matrix import load_incidence_csv
@@ -37,12 +37,13 @@ def guarded(fn):
 
 
 def common_options(fn):
+    # parameter names are load_config's override keys
     options = [
-        click.option("--config", "config_path", type=click.Path(), default=None,
+        click.option("--config", "path", type=click.Path(), default=None,
                      help="Config file (key = value lines)."),
         click.option("--run-dir", type=click.Path(), default=None,
                      help="Directory for run artifacts."),
-        click.option("--lambda", "granularity", type=int, default=None,
+        click.option("--lambda", "lambda", type=int, default=None,
                      help="Knowledge-point granularity per question."),
         click.option("--alpha", type=float, default=None,
                      help="Significance level of the independence test."),
@@ -59,20 +60,6 @@ def common_options(fn):
     return fn
 
 
-def _load_cfg(config_path, run_dir, granularity, alpha, seed, repetitions,
-              transcript, mode) -> Config:
-    overrides = {
-        "run_dir": run_dir,
-        "lambda": granularity,
-        "alpha": alpha,
-        "seed": seed,
-        "repetitions": repetitions,
-        "transcript": transcript,
-        "mode": mode,
-    }
-    return load_config(config_path, **overrides)
-
-
 @click.group()
 def main():
     """Learn a prerequisite graph from math QA corpora and answer with it."""
@@ -84,7 +71,7 @@ def main():
 @guarded
 def cmd_build_dataset(qa_file, **cfg_kwargs):
     """Generate solutions for a QA file; keep correctly answered records."""
-    cfg = _load_cfg(**cfg_kwargs)
+    cfg = load_config(**cfg_kwargs)
     client = build_client(cfg)
     records = load_qa_records(qa_file)
     dataset = learning.build_dataset(records, client)
@@ -100,7 +87,7 @@ def cmd_build_dataset(qa_file, **cfg_kwargs):
 @guarded
 def cmd_learn(dataset_file, **cfg_kwargs):
     """Extraction, deduplication, discovery and alignment over a dataset."""
-    cfg = _load_cfg(**cfg_kwargs)
+    cfg = load_config(**cfg_kwargs)
     client = build_client(cfg)
     dataset = load_qa_records(dataset_file)
     g_init, g_best, report = learning.run_learn_pipeline(
@@ -129,7 +116,7 @@ def cmd_learn(dataset_file, **cfg_kwargs):
 @guarded
 def cmd_discover(incidence_csv, out, **cfg_kwargs):
     """Causal discovery only, over an existing incidence matrix."""
-    cfg = _load_cfg(**cfg_kwargs)
+    cfg = load_config(**cfg_kwargs)
     z = load_incidence_csv(incidence_csv)
     g = discover_cpdag(z, alpha=cfg.alpha, max_cond_size=cfg.max_cond_size)
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
@@ -148,7 +135,7 @@ def cmd_discover(incidence_csv, out, **cfg_kwargs):
 @guarded
 def cmd_answer(graph_file, question, **cfg_kwargs):
     """Answer one question guided by a learned graph."""
-    cfg = _load_cfg(**cfg_kwargs)
+    cfg = load_config(**cfg_kwargs)
     client = build_client(cfg)
     g = load_graph(graph_file)
     record = QaRecord(id="cli-question", question=question)
@@ -181,7 +168,7 @@ def cmd_answer(graph_file, question, **cfg_kwargs):
 @guarded
 def cmd_evaluate(graph_file, test_file, **cfg_kwargs):
     """Pass@1 evaluation of a graph over a test corpus."""
-    cfg = _load_cfg(**cfg_kwargs)
+    cfg = load_config(**cfg_kwargs)
     client = build_client(cfg)
     g = load_graph(graph_file)
     test = load_qa_records(test_file)

@@ -2,9 +2,10 @@
 
 Pipeline: likelihood-ratio (G-squared) independence tests feed a
 level-synchronized PC skeleton search, unshielded colliders are oriented
-conservatively, and the orientation closure rules complete the result to
-a CPDAG. The independence decision is pluggable so an exact d-separation
-oracle can stand in for the statistical test.
+from the sepsets that search found (opposite proposals cancel), and the
+orientation closure rules complete the result to a CPDAG. The
+independence decision is pluggable so an exact d-separation oracle can
+stand in for the statistical test.
 
 The search takes one kind of decision, a batch: given T tests as x (T,),
 y (T,) and s (T, |S|), it returns a bool (T,), True where the test finds
@@ -23,7 +24,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -385,22 +386,22 @@ def _placeholder_points(k: int) -> tuple[KnowledgePoint, ...]:
 
 def _assemble(
     points: Sequence[KnowledgePoint],
+    pairs: Iterable[tuple[int, int]],
     oriented: Sequence[tuple[int, int]],
-    undirected: set[tuple[int, int]],
 ) -> Mcg:
-    """Build a valid mixed graph from an ordered orientation list.
+    """Build a valid mixed graph over the adjacent ``pairs``, each in either
+    order, directing ``oriented`` in order.
 
-    Directed edges are inserted in orientation order; an edge that would
-    close a directed cycle is downgraded back to undirected and logged.
-    No pair may appear in ``oriented`` in both directions.
+    Every pair starts undirected. An orientation that would close a directed
+    cycle leaves its pair undirected and is logged. Each edge in ``oriented``
+    must be one of ``pairs``, and no pair may appear in it in both directions.
     """
-    builder = GraphBuilder(len(points), undirected=undirected)
+    builder = GraphBuilder(len(points), undirected=pairs)
     for u, v in oriented:
         if builder.closes_cycle(u, v):
             logger.warning(
                 "downgrading %d->%d to undirected: orientation closes a cycle", u, v
             )
-            builder.set_pair(u, v, "undirected")
         else:
             builder.set_pair(u, v, "directed")
     return builder.freeze(points)
@@ -409,18 +410,19 @@ def _assemble(
 def orient_v_structures(
     sk: Skeleton, points: Sequence[KnowledgePoint] | None = None
 ) -> Mcg:
-    """Orient unshielded colliders u->w<-v where w is outside sepset(u, v).
+    """Orient unshielded colliders u->w<-v where w is outside sepset(u, v),
+    the single sepset the skeleton search found (the sepset rule).
 
-    Opposite proposals over a single edge cancel out and leave it
-    undirected (conservative rule).
+    Opposite proposals over a single edge cancel out and leave it undirected.
     """
     k = sk.k
     pts = tuple(points) if points is not None else _placeholder_points(k)
     if len(pts) != k:
         raise ValueError(f"{len(pts)} points for a {k}-node skeleton")
 
-    proposals: list[tuple[int, int]] = []
-    proposed: set[tuple[int, int]] = set()
+    # an insertion-ordered set: the order decides which orientation a cycle
+    # leaves undirected
+    proposed: dict[tuple[int, int], None] = {}
     for w in range(k):
         nbrs = sk.neighbors(w)
         for u, v in combinations(nbrs, 2):
@@ -429,26 +431,11 @@ def orient_v_structures(
             sepset = sk.sepsets.get((min(u, v), max(u, v)))
             if sepset is None or w in sepset:
                 continue
-            for edge in ((u, w), (v, w)):
-                if edge not in proposed:
-                    proposed.add(edge)
-                    proposals.append(edge)
+            proposed.update(dict.fromkeys([(u, w), (v, w)]))
 
-    conflicted = {
-        (min(u, v), max(u, v)) for u, v in proposed if (v, u) in proposed
-    }
-    oriented = [
-        (u, v) for u, v in proposals if (min(u, v), max(u, v)) not in conflicted
-    ]
-    undirected = {
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if sk.adjacency[i, j]
-        and (i, j) not in oriented
-        and (j, i) not in oriented
-    }
-    return _assemble(pts, oriented, undirected)
+    oriented = [(u, v) for u, v in proposed if (v, u) not in proposed]
+    pairs = [(u, v) for u in range(k) for v in sk.neighbors(u) if u < v]
+    return _assemble(pts, pairs, oriented)
 
 
 def meek_closure(g: Mcg) -> Mcg:
@@ -507,7 +494,7 @@ def meek_closure(g: Mcg) -> Mcg:
                 elif fires(v, u):
                     orient(v, u)
                     changed = True
-    return _assemble(g.nodes, oriented, set(undirected()))
+    return _assemble(g.nodes, g.directed | g.undirected, oriented)
 
 
 def cpdag_from_ci(

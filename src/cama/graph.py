@@ -269,14 +269,24 @@ def deserialize_graph(data: str | bytes) -> Mcg:
             KnowledgePoint(key=n["key"], description=n.get("description", ""))
             for n in doc["nodes"]
         )
-        directed = frozenset((int(u), int(v)) for u, v in doc.get("directed", []))
-        undirected = frozenset((int(u), int(v)) for u, v in doc.get("undirected", []))
+        directed = _edges(doc.get("directed", []))
+        undirected = _edges(doc.get("undirected", []))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed graph document: {e}") from e
     try:
         return Mcg(nodes=nodes, directed=directed, undirected=undirected)
     except (ValueError, CycleError) as e:
         raise ParseError(f"graph document violates invariants: {e}") from e
+
+
+def _edges(pairs) -> frozenset[tuple[int, int]]:
+    """Edge endpoints as read from JSON; each must be an integer, not a
+    float, a string or a boolean."""
+    edges = frozenset((u, v) for u, v in pairs)
+    for edge in edges:
+        if any(type(end) is not int for end in edge):
+            raise TypeError(f"edge endpoints must be integers, got {list(edge)!r}")
+    return edges
 
 
 def load_graph(path) -> Mcg:

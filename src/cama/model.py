@@ -84,9 +84,6 @@ class ReplacementMap:
         """Surviving key for ``key``: itself unless it was removed."""
         return self.pairs.get(normalize_key(key), normalize_key(key))
 
-    def __contains__(self, key: str) -> bool:
-        return normalize_key(key) in self.pairs
-
 
 def _text(value, field: str) -> str:
     """A QA text field: a string, or a number written out; null is refused."""

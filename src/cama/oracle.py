@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +38,8 @@ class TrueDag:
         k = len(self.names)
         if len(self.parents) != k or len(self.cpt) != k:
             raise ValueError("names, parents and cpt must have equal length")
+        if len(set(self.names)) != k:
+            raise ValueError("node names must be pairwise distinct")
         object.__setattr__(
             self, "parents", tuple(tuple(int(p) for p in ps) for ps in self.parents)
         )
@@ -52,7 +53,9 @@ class TrueDag:
                 raise ValueError(
                     f"node {i} CPT shape {arr.shape} != ({2 ** len(ps)}, 2)"
                 )
-            if (arr < 0).any() or np.abs(arr.sum(axis=1) - 1.0).max() > 1e-12:
+            if not np.isfinite(arr).all() or (arr < 0).any() or (
+                np.abs(arr.sum(axis=1) - 1.0).max() > 1e-12
+            ):
                 raise ValueError(f"node {i} CPT rows must be distributions")
             tables.append(arr)
         object.__setattr__(self, "cpt", tuple(tables))
@@ -155,29 +158,17 @@ def true_cpdag(dag: TrueDag) -> Mcg:
     Independent of the PC search path, so it can serve as the expected
     value when checking discovery output.
     """
-    k = dag.k
-    adjacency = np.zeros((k, k), dtype=bool)
-    for u, v in dag.edges():
-        adjacency[u, v] = adjacency[v, u] = True
-
-    oriented: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for w in range(k):
-        for u, v in combinations(sorted(dag.parents[w]), 2):
-            if adjacency[u, v]:
-                continue
-            for edge in ((u, w), (v, w)):
-                if edge not in seen:
-                    seen.add(edge)
-                    oriented.append(edge)
-    undirected = {
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if adjacency[i, j] and (i, j) not in seen and (j, i) not in seen
-    }
+    parents = [set(ps) for ps in dag.parents]
+    # u->w when w has a parent v not adjacent to u; these are DAG edges, so
+    # none closes a cycle and their order does not matter
+    oriented = [
+        (u, w)
+        for w, ps in enumerate(dag.parents)
+        for u in ps
+        if any(v != u and v not in parents[u] and u not in parents[v] for v in ps)
+    ]
     points = tuple(KnowledgePoint(key=name) for name in dag.names)
-    return meek_closure(_assemble(points, oriented, undirected))
+    return meek_closure(_assemble(points, dag.edges(), oriented))
 
 
 def structural_hamming_distance(a: Mcg, b: Mcg) -> int:

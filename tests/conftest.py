@@ -11,6 +11,14 @@ from fake_llm import FakeLlm, question_text  # noqa: E402
 from cama.model import KnowledgePoint, QaRecord  # noqa: E402
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--regenerate-golden",
+        action="store_true",
+        help="rewrite tests/golden/digests.json from the current outputs",
+    )
+
+
 def one_at_a_time(independent):
     """The batch decision PC takes, asking the scalar ``independent(u, v,
     s)``, s a frozenset, one test at a time."""

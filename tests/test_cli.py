@@ -153,6 +153,31 @@ class TestConfig:
         assert (client.temperature, client.in_flight_limit) == (0.1, 2)
         assert client.max_retries == DEFAULT_MAX_RETRIES
 
+    def test_every_common_option_reaches_the_config(self, runner, tmp_path, monkeypatch):
+        cfg_file = tmp_path / "cama.conf"
+        cfg_file.write_text("alpha = 0.01\n")
+        csv = tmp_path / "z.csv"
+        csv.write_text("id,a,b\nr1,0,1\nr2,1,0\n")
+        built = []
+
+        def spy(*args, **overrides):
+            built.append(load_config(*args, **overrides))
+            return built[-1]
+
+        monkeypatch.setattr("cama.cli.load_config", spy)
+        result = runner.invoke(
+            main,
+            ["discover", str(csv), "--config", str(cfg_file), "--lambda", "3",
+             "--seed", "7", "--repetitions", "2", "--mode", "replay",
+             "--transcript", "t.jsonl", "--run-dir", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        [cfg] = built
+        assert (cfg.alpha, cfg.granularity, cfg.seed, cfg.repetitions) == (0.01, 3, 7, 2)
+        assert (cfg.transcript_mode, cfg.transcript_path, cfg.run_dir) == (
+            "replay", Path("t.jsonl"), tmp_path
+        )
+
 
 class TestDiscoverCommand:
     def test_fork_matrix_recovers_area_edges(self, runner, tmp_path):
@@ -198,6 +223,22 @@ class TestDiscoverCommand:
         scenario.write_text(
             '{"nodes": ["a"], "parents": {"a": []}, "cpt": {"a": [["x", 1]]}}'
         )
+        result = runner.invoke(main, ["synth", str(scenario), "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1
+        error = json.loads(result.output.strip().splitlines()[-1])
+        assert error["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "scenario_doc",
+        [
+            '{"nodes": ["a"], "parents": {"a": []}, "cpt": {"a": [[NaN, NaN]]}}',
+            '{"nodes": ["a", "a"], "parents": {"a": []}, "cpt": {"a": [[0.5, 0.5]]}}',
+        ],
+        ids=["nan-cpt", "repeated-name"],
+    )
+    def test_invalid_scenario_machine_readable_error(self, runner, tmp_path, scenario_doc):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(scenario_doc)
         result = runner.invoke(main, ["synth", str(scenario), "--out-dir", str(tmp_path)])
         assert result.exit_code == 1
         error = json.loads(result.output.strip().splitlines()[-1])

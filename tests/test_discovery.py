@@ -172,7 +172,7 @@ class TestAssemble:
         # 0->1 and 1->2 are accepted first, so 2->0 would close a cycle
         oriented = [(0, 1), (1, 2), (2, 0), (2, 3)]
         with caplog.at_level(logging.WARNING, logger="cama.discovery"):
-            g = _assemble(pts(4), oriented, {(1, 3)})
+            g = _assemble(pts(4), [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)], oriented)
         assert g.directed == {(0, 1), (1, 2), (2, 3)}
         assert g.undirected == {(0, 2), (1, 3)}
         warnings = [r for r in caplog.records if r.levelno == logging.WARNING]

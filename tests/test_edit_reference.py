@@ -26,15 +26,14 @@ from cama.parsers import RelationEdit
 ref_logger = logging.getLogger("reference")
 
 
-def ref_assemble(points, oriented, undirected):
+def ref_assemble(points, pairs, oriented):
     accepted = []
-    und = {(min(a, b), max(a, b)) for a, b in undirected}
+    und = {(min(a, b), max(a, b)) for a, b in pairs}
     for u, v in oriented:
         if topological_order(len(points), accepted + [(u, v)]) is None:
             ref_logger.warning(
                 "downgrading %d->%d to undirected: orientation closes a cycle", u, v
             )
-            und.add((min(u, v), max(u, v)))
         else:
             accepted.append((u, v))
     und -= {(min(u, v), max(u, v)) for u, v in accepted}
@@ -89,7 +88,7 @@ def ref_meek_closure(g):
                 elif fires(v, u):
                     orient(v, u)
                     changed = True
-    return ref_assemble(g.nodes, oriented, undirected)
+    return ref_assemble(g.nodes, g.directed | g.undirected, oriented)
 
 
 def ref_apply_relation_edits(g, edits):

@@ -300,6 +300,14 @@ class TestSerialization:
         with pytest.raises(ParseError, match="description"):
             deserialize_graph(doc)
 
+    @pytest.mark.parametrize(
+        "edges", ['"directed": [[0.7, 1]]', '"directed": [["1", 0]]', '"undirected": [[true, 0]]']
+    )
+    def test_non_integer_endpoint_rejected(self, edges):
+        doc = f'{{"version": 1, "nodes": [{{"key": "a"}}, {{"key": "b"}}], {edges}}}'
+        with pytest.raises(ParseError, match="integers"):
+            deserialize_graph(doc)
+
     def test_accepts_bytes(self):
         g = Mcg(nodes=points(2), directed={(0, 1)})
         assert graphs_equal(deserialize_graph(serialize_graph(g).encode()), g)

@@ -91,7 +91,7 @@ class TestReplacementMap:
         m = ReplacementMap({"Old Point": "new point"})
         assert m.resolve("old point") == "new point"
         assert m.resolve("unrelated") == "unrelated"
-        assert "old point" in m
+        assert "old point" in m.pairs
 
     def test_target_also_removed_rejected(self):
         with pytest.raises(ValueError):
