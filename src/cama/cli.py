@@ -145,7 +145,7 @@ def cmd_answer(graph_file, question, **cfg_kwargs):
         "question": question,
         "trace": outcome.trace,
         "chosen": sorted(outcome.chosen),
-        "subgraph_nodes": [p.key for p in outcome.subgraph.nodes],
+        "subgraph_nodes": [g.nodes[i].key for i in sorted(outcome.chosen)],
         "raw_answer": outcome.raw_answer,
         "parsed_answer": outcome.parsed_answer,
         "failed": outcome.failed,

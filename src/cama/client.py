@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import CamaError, ParseError, RateLimited, ScriptMismatch, TransportError
-from .templates import TEMPLATE_TAGS
+from .templates import TEMPLATE_TAGS, render_template
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +69,15 @@ def complete_all(client: ChatClient, requests: Sequence[ChatRequest]) -> list[st
     if batch is not None:
         return batch(requests)
     return [_settle(client.complete, r) for r in requests]
+
+
+def ask(
+    client: ChatClient, tag: str, bindings: Sequence[dict[str, str]]
+) -> list[str | CamaError]:
+    """Render template ``tag`` with each bindings dict and complete the
+    prompts as one batch through ``complete_all``; one result per dict, in
+    order."""
+    return complete_all(client, [ChatRequest(render_template(tag, b), tag) for b in bindings])
 
 
 # --- transcript ------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .client import ChatClient, ChatRequest, complete_all
+from .client import ChatClient, ask
 from .discovery import DEFAULT_ALPHA, discover_cpdag
 from .errors import CamaError, EmptyDataset, UnknownKey
 from .graph import GraphBuilder, Mcg, graphs_equal, save_graph, verbalize
@@ -31,7 +31,6 @@ from .parsers import (
     parse_relation_edits,
 )
 from .reasoning import ReasoningOutcome, answer_questions, judge_exact
-from .templates import render_template
 
 logger = logging.getLogger(__name__)
 
@@ -124,12 +123,9 @@ def build_dataset(qa: list[QaRecord], gateway: ChatClient) -> list[QaRecord]:
     for rec in qa:
         if rec.solution is not None:
             raise ValueError(f"record {rec.id!r} already has a solution")
-    requests = [
-        ChatRequest(prompt=render_template("p_g", {"question": rec.question}), tag="p_g")
-        for rec in qa
-    ]
+    replies = ask(gateway, "p_g", [{"question": rec.question} for rec in qa])
     retained: list[QaRecord] = []
-    for rec, raw in zip(qa, complete_all(gateway, requests)):
+    for rec, raw in zip(qa, replies):
         # a returned error is logged, never raised again: a raise would tie
         # its traceback to this frame, which still holds the error
         if isinstance(raw, CamaError):
@@ -166,18 +162,12 @@ def extract_all(
 
     Parse failures degrade to an empty point list for that record.
     """
-    requests = [
-        ChatRequest(
-            prompt=render_template(
-                "p_p",
-                {"question_solution_pairs": _format_qa_pair(rec), "lambda": str(granularity)},
-            ),
-            tag="p_p",
-        )
+    bindings = [
+        {"question_solution_pairs": _format_qa_pair(rec), "lambda": str(granularity)}
         for rec in qs
     ]
     records: list[ExtractionRecord] = []
-    for rec, raw in zip(qs, complete_all(gateway, requests)):
+    for rec, raw in zip(qs, ask(gateway, "p_p", bindings)):
         points = ()
         if isinstance(raw, CamaError):
             logger.warning("extraction failed for %s: %s", rec.id, raw)
@@ -211,10 +201,13 @@ def deduplicate(
     if not pool:
         return [], ReplacementMap()
     listing = "\n".join(f"- **{p.key}**: {p.description}" for p in pool)
-    prompt = render_template("p_r", {"list_all_knowledge_points": listing})
+    [raw] = ask(gateway, "p_r", [{"list_all_knowledge_points": listing}])
+    if isinstance(raw, CamaError):
+        logger.warning("deduplication degraded to identity: %s", raw)
+        return pool, ReplacementMap()
     pool_keys = {p.key for p in pool}
     try:
-        result = parse_dedup(gateway.complete(ChatRequest(prompt=prompt, tag="p_r")))
+        result = parse_dedup(raw)
         for gone, survivor in result.replacements.pairs.items():
             if survivor not in pool_keys:
                 raise CamaError(
@@ -343,15 +336,16 @@ def run_alignment_round(
         incorrect_text += (
             "\n\n# Optimization History (most recent last)\n\n" + history_text
         )
-    prompt = render_template(
-        "p_u",
-        {
-            "qa_correct_answer": _format_feedback_entries(correct_part),
-            "qa_incorrect_answer": incorrect_text,
-        },
-    )
+    bindings = {
+        "qa_correct_answer": _format_feedback_entries(correct_part),
+        "qa_incorrect_answer": incorrect_text,
+    }
+    [raw] = ask(gateway, "p_u", [bindings])
+    if isinstance(raw, CamaError):
+        logger.warning("update call failed, keeping graph unchanged: %s", raw)
+        return RoundResult(graph=g, precision=precision)
     try:
-        edits = parse_relation_edits(gateway.complete(ChatRequest(prompt=prompt, tag="p_u")))
+        edits = parse_relation_edits(raw)
     except CamaError as e:
         logger.warning("update call failed, keeping graph unchanged: %s", e)
         return RoundResult(graph=g, precision=precision)

@@ -225,6 +225,14 @@ def random_true_dag(
     return TrueDag(names=names, parents=tuple(tuple(ps) for ps in parent_sets), cpt=tuple(cpts))
 
 
+def _names(value) -> list[str]:
+    """A list of node names as read from JSON: a string is not a list, and
+    each name must be a string."""
+    if type(value) is not list or any(type(n) is not str for n in value):
+        raise TypeError(f"expected a list of node names, got {value!r}")
+    return value
+
+
 def load_scenario(path: str | Path) -> TrueDag:
     """Read a TrueDag from its JSON scenario document {nodes, parents, cpt}."""
     raw = Path(path).read_text(encoding="utf-8")
@@ -233,10 +241,10 @@ def load_scenario(path: str | Path) -> TrueDag:
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid scenario JSON: {e.msg}", position=e.pos) from e
     try:
-        names = tuple(str(n) for n in doc["nodes"])
+        names = tuple(_names(doc["nodes"]))
         index = {n: i for i, n in enumerate(names)}
         parents = tuple(
-            tuple(index[p] for p in doc["parents"][name]) for name in names
+            tuple(index[p] for p in _names(doc["parents"][name])) for name in names
         )
         cpt = tuple(np.asarray(doc["cpt"][name], dtype=np.float64) for name in names)
     except (KeyError, TypeError, ValueError) as e:

@@ -2,8 +2,10 @@
 
 A question is answered in three steps: generate a reasoning trace, let
 the model pick the relevant knowledge points from the verbalized graph,
-then answer with the induced subgraph injected into the prompt. Failures
-at any step produce a failed (incorrect) outcome instead of aborting.
+then answer with the verbalized subgraph those points induce injected into
+the prompt. Each step is one ``client.ask`` batch over the questions still
+standing. Failures at any step produce a failed (incorrect) outcome
+instead of aborting.
 """
 
 from __future__ import annotations
@@ -13,25 +15,24 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from .client import ChatClient, ChatRequest, complete_all
+from .client import ChatClient, ask
 from .errors import CamaError, EmptyTestSet
 from .graph import Mcg, Verbalization, extract_subgraph, verbalize
 from .model import QaRecord
 from .parsers import parse_answer, parse_chosen_factors
-from .templates import render_template
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class ReasoningOutcome:
-    """One answered question. ``view`` is the verbalized ``subgraph`` that
-    the answer prompt carried (empty if the question failed before it)."""
+    """One answered question. ``view`` is the verbalized subgraph induced by
+    the ``chosen`` node indices, as the answer prompt carried it; a question
+    that failed before that prompt has an empty ``chosen`` and ``view``."""
 
     qa_id: str
     trace: str
     chosen: frozenset[int]
-    subgraph: Mcg
     view: Verbalization
     raw_answer: str
     parsed_answer: str
@@ -119,93 +120,75 @@ def answer_questions(
     questions still standing; a question that fails a step sends no
     further calls. Outcomes come back in record order.
     """
-    n = len(records)
-    traces = [""] * n
-    chosen: list[frozenset[int]] = [frozenset()] * n
-    subgraphs: dict[int, Mcg] = {}
-    views = [Verbalization(elements=(), relations=())] * n
-    raw_answers = [""] * n
     failures: dict[int, str] = {}
 
     def fail(i: int, error: CamaError) -> None:
         logger.warning("question %s failed: %s", records[i].id, error)
         failures[i] = f"{type(error).__name__}: {error}"
 
-    def ask(tag: str, prompts: dict[int, str]) -> dict[int, str]:
-        requests = [ChatRequest(prompt=p, tag=tag) for p in prompts.values()]
+    def step(tag: str, bindings_by_index: dict[int, dict[str, str]]) -> dict[int, str]:
+        results = ask(gateway, tag, list(bindings_by_index.values()))
         replies = {}
-        for i, result in zip(prompts, complete_all(gateway, requests)):
+        for i, result in zip(bindings_by_index, results):
             if isinstance(result, CamaError):
                 fail(i, result)
             else:
                 replies[i] = result
         return replies
 
-    trace_prompts = {
-        i: render_template("p_t", {"question": q.question})
-        for i, q in enumerate(records)
-    }
-    for i, trace in ask("p_t", trace_prompts).items():
-        traces[i] = trace
-
+    traces = step("p_t", {i: {"question": q.question} for i, q in enumerate(records)})
     elements = verbalize(g).elements_text()
-    match_prompts = {
-        i: render_template(
-            "p_m",
-            {
-                "question_think": _format_question_think(records[i].question, traces[i]),
+    matches = step(
+        "p_m",
+        {
+            i: {
+                "question_think": _format_question_think(records[i].question, trace),
                 "knowledge_point_descriptions": elements,
-            },
-        )
-        for i in range(n)
-        if i not in failures
-    }
-    answer_prompts = {}
-    for i, match_raw in ask("p_m", match_prompts).items():
+            }
+            for i, trace in traces.items()
+        },
+    )
+    chosen: dict[int, frozenset[int]] = {}
+    views: dict[int, Verbalization] = {}
+    for i, raw in matches.items():
         try:
-            chosen[i] = frozenset(parse_chosen_factors(match_raw, g.k))
+            chosen[i] = frozenset(parse_chosen_factors(raw, g.k))
         except CamaError as e:
             fail(i, e)
             continue
-        subgraphs[i] = extract_subgraph(g, chosen[i])
-        views[i] = verbalize(subgraphs[i])
-        answer_prompts[i] = render_template(
-            "p_a",
-            {
+        views[i] = verbalize(extract_subgraph(g, chosen[i]))
+    raw_answers = step(
+        "p_a",
+        {
+            i: {
                 "question": records[i].question,
-                "chosen_knowledge_points": views[i].elements_text(),
-                "knowledge_point_relations": views[i].relations_text(),
-            },
-        )
-
+                "chosen_knowledge_points": view.elements_text(),
+                "knowledge_point_relations": view.relations_text(),
+            }
+            for i, view in views.items()
+        },
+    )
     parsed = {}
-    for i, raw_answer in ask("p_a", answer_prompts).items():
-        raw_answers[i] = raw_answer
+    for i, raw in raw_answers.items():
         try:
-            parsed[i] = parse_answer(raw_answer).answer
+            parsed[i] = parse_answer(raw).answer
         except CamaError as e:
             fail(i, e)
 
-    # a question that failed before p_a carries an empty subgraph
-    no_subgraph = extract_subgraph(g, ()) if len(subgraphs) < n else None
-    outcomes = []
-    for i, q in enumerate(records):
-        answer = parsed.get(i, "")
-        outcomes.append(
-            ReasoningOutcome(
-                qa_id=q.id,
-                trace=traces[i],
-                chosen=chosen[i],
-                subgraph=subgraphs.get(i, no_subgraph),
-                view=views[i],
-                raw_answer=raw_answers[i],
-                parsed_answer=answer,
-                correct=i in parsed and bool(q.answer) and judge_exact(answer, q.answer),
-                failed=i in failures,
-                failure=failures.get(i),
-            )
+    return [
+        ReasoningOutcome(
+            qa_id=q.id,
+            trace=traces.get(i, ""),
+            chosen=chosen.get(i, frozenset()),
+            view=views.get(i, Verbalization(elements=(), relations=())),
+            raw_answer=raw_answers.get(i, ""),
+            parsed_answer=parsed.get(i, ""),
+            correct=i in parsed and bool(q.answer) and judge_exact(parsed[i], q.answer),
+            failed=i in failures,
+            failure=failures.get(i),
         )
-    return outcomes
+        for i, q in enumerate(records)
+    ]
 
 
 def answer_question(g: Mcg, q: QaRecord, gateway: ChatClient) -> ReasoningOutcome:

@@ -1,8 +1,14 @@
+import copy
 import json
+import math
+import tempfile
+from functools import cache
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus
 from fake_llm import FakeLlm, question_text
@@ -233,8 +239,13 @@ class TestDiscoverCommand:
         [
             '{"nodes": ["a"], "parents": {"a": []}, "cpt": {"a": [[NaN, NaN]]}}',
             '{"nodes": ["a", "a"], "parents": {"a": []}, "cpt": {"a": [[0.5, 0.5]]}}',
+            '{"nodes": "ab", "parents": {"a": [], "b": []},'
+            ' "cpt": {"a": [[0.5, 0.5]], "b": [[0.5, 0.5]]}}',
+            '{"nodes": ["a", "b"], "parents": {"a": [], "b": "a"},'
+            ' "cpt": {"a": [[0.5, 0.5]], "b": [[0.5, 0.5], [0.5, 0.5]]}}',
+            '{"nodes": [null], "parents": {"None": []}, "cpt": {"None": [[0.5, 0.5]]}}',
         ],
-        ids=["nan-cpt", "repeated-name"],
+        ids=["nan-cpt", "repeated-name", "string-nodes", "string-parents", "null-name"],
     )
     def test_invalid_scenario_machine_readable_error(self, runner, tmp_path, scenario_doc):
         scenario = tmp_path / "scenario.json"
@@ -251,6 +262,101 @@ class TestDiscoverCommand:
         assert result.exit_code == 1
         error = json.loads(result.output.strip().splitlines()[-1])
         assert error["error"] == "ParseError"
+
+
+VALID_SCENARIO = {
+    "nodes": ["a", "b", "c"],
+    "parents": {"a": [], "b": ["a"], "c": ["a"]},
+    "cpt": {"a": [[0.5, 0.5]], "b": [[0.8, 0.2], [0.3, 0.7]], "c": [[0.9, 0.1], [0.4, 0.6]]},
+}
+
+
+def value_paths(doc, prefix=()):
+    """Every path from the root of a JSON document to one of its values."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from value_paths(value, (*prefix, key))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def synth(text: str):
+    """(exit code, output, incidence.csv and true_cpdag.json bytes or None)
+    of ``cama synth`` on a scenario document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(text, encoding="utf-8")
+        out = Path(tmp) / "out"
+        result = CliRunner().invoke(
+            main, ["synth", str(scenario), "--rows", "20", "--out-dir", str(out)]
+        )
+        files = None
+        if result.exit_code == 0:
+            files = [(out / name).read_bytes() for name in ("incidence.csv", "true_cpdag.json")]
+        return result, files
+
+
+@cache
+def valid_synth_files():
+    result, files = synth(json.dumps(VALID_SCENARIO))
+    assert result.exit_code == 0, result.output
+    return files
+
+
+# a list swap holds no string, so it cannot name an existing node
+type_swaps = st.one_of(
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="abc", min_size=1, max_size=3),
+    st.lists(st.one_of(st.none(), st.floats(allow_nan=False)), min_size=1, max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+# half the swaps land on a list of names, where a string could pass for a list
+name_lists = [("nodes",), *(("parents", name) for name in VALID_SCENARIO["nodes"])]
+swapped = st.builds(
+    replaced,
+    st.just(VALID_SCENARIO),
+    st.sampled_from(name_lists) | st.sampled_from(list(value_paths(VALID_SCENARIO))),
+    type_swaps,
+)
+duplicated = st.builds(
+    lambda i, j: replaced(VALID_SCENARIO, ("nodes", i), VALID_SCENARIO["nodes"][j]),
+    st.integers(0, 2),
+    st.integers(0, 2),
+) | st.sampled_from(
+    [replaced(VALID_SCENARIO, ("nodes",), [*VALID_SCENARIO["nodes"], name]) for name in "abc"]
+)
+VALID_TEXT = json.dumps(VALID_SCENARIO)
+mutated_text = st.one_of(swapped.map(json.dumps), duplicated.map(json.dumps)) | st.integers(
+    0, len(VALID_TEXT) - 1
+).map(lambda cut: VALID_TEXT[:cut])
+
+
+class TestScenarioDocument:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(mutated_text)
+    # a string where a list of names belongs, which iterates as the names
+    @example(json.dumps(replaced(VALID_SCENARIO, ("nodes",), "ab")))
+    @example(json.dumps(replaced(VALID_SCENARIO, ("parents", "b"), "c")))
+    def test_mutated_scenario_loads_as_valid_or_fails_cleanly(self, text):
+        result, files = synth(text)
+        assert "Traceback" not in result.output
+        if result.exit_code == 0:
+            assert files == valid_synth_files(), text
+        else:
+            assert result.exit_code == 1 and isinstance(result.exception, SystemExit), text
+            error = json.loads(result.output.strip().splitlines()[-1])
+            assert error["error"] == "ParseError", text
 
 
 class TestExportDotCommand:

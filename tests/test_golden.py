@@ -1,25 +1,34 @@
-"""Committed digests of the CPDAGs that discovery and the oracle return.
+"""Committed digests of what discovery, the oracle and the pipeline write.
 
 Each artifact is a SHA-256 over bytes the program writes: ``serialize_graph``
 of ``discover_cpdag`` on fixed samples, and of ``true_cpdag`` and
-``oracle_cpdag`` on the DAGs those samples come from. The sampled input
-matrices are hashed too, so a change in NumPy's sampling stream shows as an
-input change rather than an output change. A change that is meant to alter
-an output regenerates the file with ``pytest --regenerate-golden`` and
-commits it with the change.
+``oracle_cpdag`` on the DAGs those samples come from; and every file of a
+small recorded ``cama learn`` -> ``cama evaluate`` -> ``cama answer`` run on
+the benchmark's fake model, transcripts included. The sampled input
+matrices and the generated corpus are hashed too, so a change in NumPy's
+sampling stream shows as an input change rather than an output change. A
+change that is meant to alter an output regenerates the file with
+``pytest --regenerate-golden`` and commits it with the change.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
+import cama.cli
+from cama.client import RecordingClient
 from cama.discovery import discover_cpdag
 from cama.graph import serialize_graph
+from cama.model import load_qa_records
 from cama.oracle import TrueDag, oracle_cpdag, random_true_dag, sample_incidence, true_cpdag
 
 DIGESTS = Path(__file__).parent / "golden" / "digests.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def sparse_tables(dag: TrueDag) -> TrueDag:
@@ -44,7 +53,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def artifacts() -> dict[str, str]:
+def discovery_artifacts() -> dict[str, str]:
     out = {}
     for name, dag, rows, seed in samples():
         z = sample_incidence(dag, rows, seed)
@@ -58,8 +67,68 @@ def artifacts() -> dict[str, str]:
     return out
 
 
-def test_outputs_match_committed_digests(request):
-    got = artifacts()
+def load_bench(name: str):
+    # bench/inputs.py imports fake_model by name
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pipeline_artifacts(work: Path, monkeypatch) -> dict[str, str]:
+    """Record learn, evaluate and one answer in-process on the fake model.
+
+    The corpus includes t0016 and e0016, which get the fake model's
+    malformed extraction and answer replies, so the digests cover an empty
+    extraction and a failed evaluation cell.
+    """
+    inputs, fake_model = load_bench("inputs"), load_bench("fake_model")
+    paths = inputs.write_learn_corpus(1, 20, 40, 20, work)
+    fake = fake_model.FakeModelClient(inputs.expected_point_edges(20))
+    monkeypatch.setattr(
+        cama.cli, "build_client", lambda cfg: RecordingClient(fake, cfg.transcript_path)
+    )
+    run_dir, answer_dir = work / "run", work / "answer"
+    [question] = load_qa_records(paths["test"])[:1]
+    runner = CliRunner()
+    for args in (
+        ["learn", paths["dataset"], "--transcript", work / "learn.jsonl", "--seed", "1"],
+        ["evaluate", run_dir / "graph_best.json", paths["test"],
+         "--transcript", work / "evaluate.jsonl", "--repetitions", "2"],
+    ):
+        result = runner.invoke(cama.cli.main, [*map(str, args), "--run-dir", str(run_dir)])
+        assert result.exit_code == 0, result.output
+    result = runner.invoke(
+        cama.cli.main,
+        ["answer", str(run_dir / "graph_best.json"), question.question,
+         "--transcript", str(work / "answer.jsonl"), "--run-dir", str(answer_dir)],
+    )
+    assert result.exit_code == 0, result.output
+
+    extraction = [
+        json.loads(line)
+        for line in (run_dir / "extraction.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    assert [r["qa_id"] for r in extraction if not r["points"]] == ["t0016"]
+    report = json.loads((run_dir / "eval_report.json").read_text(encoding="utf-8"))
+    assert {c["qa_id"] for c in report["per_question"] if c["failed"]} == {"e0016"}
+
+    files = {
+        "corpus/dataset.json": paths["dataset"],
+        "corpus/test.json": paths["test"],
+        "transcript/learn.jsonl": work / "learn.jsonl",
+        "transcript/evaluate.jsonl": work / "evaluate.jsonl",
+        "transcript/answer.jsonl": work / "answer.jsonl",
+        "answer/answer_audit.json": answer_dir / "answer_audit.json",
+    }
+    files.update({f"run/{p.name}": p for p in run_dir.iterdir()})
+    return {f"pipeline/{name}": sha256(path.read_bytes()) for name, path in files.items()}
+
+
+def test_outputs_match_committed_digests(request, tmp_path, monkeypatch):
+    got = discovery_artifacts() | pipeline_artifacts(tmp_path, monkeypatch)
     if request.config.getoption("--regenerate-golden"):
         DIGESTS.parent.mkdir(exist_ok=True)
         DIGESTS.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -13,8 +13,9 @@ from fake_llm import FakeLlm
 import cama.reasoning
 from cama.client import ChatRequest, HttpChatClient, RecordingClient, ScriptedChatClient
 from cama.errors import EmptyTestSet, TransportError
-from cama.graph import Mcg, Verbalization, extract_subgraph, graphs_equal
-from cama.model import KnowledgePoint, QaRecord
+from cama.graph import Mcg, Verbalization, extract_subgraph, graphs_equal, verbalize
+from cama.learning import AlignmentHistory, ExtractionRecord, deduplicate, run_alignment_round
+from cama.model import KnowledgePoint, QaRecord, ReplacementMap
 from cama.reasoning import answer_question, answer_questions, evaluate, judge_exact
 
 
@@ -63,7 +64,7 @@ class TestAnswerQuestion:
         assert outcome.correct and not outcome.failed
         assert outcome.parsed_answer == "23"
         assert outcome.chosen == {0, 1}
-        assert graphs_equal(outcome.subgraph, extract_subgraph(guided_graph(), {0, 1}))
+        assert outcome.view == verbalize(extract_subgraph(guided_graph(), {0, 1}))
 
     def test_subgraph_relations_injected(self, fake_llm):
         answer_question(guided_graph(), self.record(), fake_llm)
@@ -112,15 +113,19 @@ class TestAnswerQuestion:
         assert not any(o.failed for o in outcomes)
         assert calls == [(0,)] * 4  # one per answered question, no empty default
 
-        class NoMatch(FakeLlm):
+        class NoMatchForOdd(FakeLlm):
             def _match(self, prompt):
-                return "no factor list here"
+                if "Problem q01:" in prompt or "Problem q03:" in prompt:
+                    return "no factor list here"
+                return super()._match(prompt)
 
         calls.clear()
-        outcomes = answer_questions(guided_graph(), records, NoMatch())
-        assert calls == [()] and all(o.failed for o in outcomes)
-        for o in outcomes:
-            assert o.subgraph.k == 0 and o.view == Verbalization(elements=(), relations=())
+        outcomes = answer_questions(guided_graph(), records, NoMatchForOdd())
+        assert calls == [(0,)] * 2  # the failed questions build no subgraph
+        assert [o.failed for o in outcomes] == [False, True, False, True]
+        for o in outcomes[1::2]:
+            assert o.chosen == frozenset() and o.view == Verbalization(elements=(), relations=())
+        assert outcomes[0].view == verbalize(extract_subgraph(guided_graph(), {0}))
 
     def test_no_ground_truth_never_correct(self, fake_llm):
         record = QaRecord(id="adhoc", question="Problem adhoc: compute 1 + 1. [kps: alpha]")
@@ -305,8 +310,8 @@ class TestFanOut:
         assert all(c["failed"] for c in report.per_question)
 
     def test_failed_single_call_leaves_no_reference_cycle(self, tmp_path, caplog):
-        # the single-call paths (dedup, update) raise the error of the last
-        # retry straight from HttpChatClient.complete
+        # a single call raises the error of the last retry straight from
+        # HttpChatClient.complete
         caplog.set_level(logging.CRITICAL)
         request = ChatRequest(prompt="q01", tag="p_t")
         refuse_all = endpoint_client(lambda tag, prompt: True)
@@ -323,6 +328,27 @@ class TestFanOut:
         gc.disable()
         try:
             assert [fail(c) for c in clients] == ["socket closed"] * 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_refused_dedup_and_update_degrade_without_reference_cycles(self, tmp_path, caplog):
+        # dedup and update are batches of one whose returned error is
+        # logged, never raised again
+        caplog.set_level(logging.CRITICAL)
+        refuse_all = endpoint_client(lambda tag, prompt: True)
+        clients = (refuse_all, RecordingClient(refuse_all, tmp_path / "t.jsonl"))
+        points = (KnowledgePoint("alpha", "first"), KnowledgePoint("beta", "second"))
+        records = [ExtractionRecord(qa_id="q01", points=points)]
+        g = guided_graph()
+
+        gc.collect()
+        gc.disable()
+        try:
+            for client in clients:
+                assert deduplicate(records, client) == (list(points), ReplacementMap())
+                result = run_alignment_round(g, self.corpus()[:2], AlignmentHistory(3), client)
+                assert result.graph is g and result.edits_applied == 0
             assert gc.collect() == 0
         finally:
             gc.enable()
