@@ -14,7 +14,7 @@ from .config import build_client, load_config
 from .errors import CamaError
 from .graph import export_dot, load_graph, save_graph
 from .matrix import load_incidence_csv
-from .model import QaRecord, load_qa_records, save_qa_records
+from .model import QaRecord, load_qa_records, save_qa_records, write_json
 from .discovery import discover_cpdag
 from .oracle import load_scenario, sample_incidence, true_cpdag
 
@@ -151,11 +151,7 @@ def cmd_answer(graph_file, question, **cfg_kwargs):
         "failed": outcome.failed,
         "failure": outcome.failure,
     }
-    audit_path = cfg.run_dir / "answer_audit.json"
-    audit_path.write_text(
-        json.dumps(audit, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(cfg.run_dir / "answer_audit.json", audit)
     if outcome.failed:
         _fail(CamaError(f"answering failed: {outcome.failure}"))
     click.echo(outcome.parsed_answer)
@@ -175,10 +171,7 @@ def cmd_evaluate(graph_file, test_file, **cfg_kwargs):
     report = reasoning.evaluate(g, test, client, repetitions=cfg.repetitions)
     cfg.run_dir.mkdir(parents=True, exist_ok=True)
     out = cfg.run_dir / "eval_report.json"
-    out.write_text(
-        json.dumps(report.to_dict(), indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out, report.to_dict())
     click.echo(f"{'qa_id':<20} {'rep':>3} {'correct':>7}  answer")
     for item in report.per_question:
         click.echo(

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .errors import CamaError, ParseError, RateLimited, ScriptMismatch, TransportError
+from .model import json_line
 from .templates import TEMPLATE_TAGS, render_template
 
 logger = logging.getLogger(__name__)
@@ -112,14 +113,8 @@ def load_transcript(path: str | Path) -> list[TranscriptEntry]:
 
 
 def transcript_line(entry: TranscriptEntry) -> str:
-    return json.dumps(
-        {
-            "tag": entry.tag,
-            "prompt_sha256": entry.prompt_sha256,
-            "response": entry.response,
-        },
-        ensure_ascii=False,
-        sort_keys=True,
+    return json_line(
+        {"tag": entry.tag, "prompt_sha256": entry.prompt_sha256, "response": entry.response}
     )
 
 

@@ -12,12 +12,12 @@ and freezes it to an ``Mcg`` once, at the boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable
 
 from .errors import CycleError, ParseError
-from .model import KnowledgePoint
+from .model import KnowledgePoint, json_list, json_text, read_json
 
 GRAPH_FORMAT_VERSION = 1
 
@@ -250,16 +250,11 @@ def serialize_graph(g: Mcg) -> str:
         "directed": sorted([u, v] for u, v in g.directed),
         "undirected": sorted([u, v] for u, v in g.undirected),
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+    return json_text(doc)
 
 
 def deserialize_graph(data: str | bytes) -> Mcg:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid graph JSON: {e.msg}", position=e.pos) from e
+    doc = read_json(data, "graph JSON")
     if not isinstance(doc, dict):
         raise ParseError("graph document must be a JSON object")
     if doc.get("version") != GRAPH_FORMAT_VERSION:
@@ -267,10 +262,10 @@ def deserialize_graph(data: str | bytes) -> Mcg:
     try:
         nodes = tuple(
             KnowledgePoint(key=n["key"], description=n.get("description", ""))
-            for n in doc["nodes"]
+            for n in json_list(doc["nodes"], "nodes")
         )
-        directed = _edges(doc.get("directed", []))
-        undirected = _edges(doc.get("undirected", []))
+        directed = _edges(json_list(doc.get("directed", []), "directed"))
+        undirected = _edges(json_list(doc.get("undirected", []), "undirected"))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed graph document: {e}") from e
     try:
@@ -290,14 +285,10 @@ def _edges(pairs) -> frozenset[tuple[int, int]]:
 
 
 def load_graph(path) -> Mcg:
-    from pathlib import Path
-
-    return deserialize_graph(Path(path).read_text(encoding="utf-8"))
+    return deserialize_graph(Path(path).read_bytes())
 
 
 def save_graph(g: Mcg, path) -> None:
-    from pathlib import Path
-
     Path(path).write_text(serialize_graph(g), encoding="utf-8")
 
 

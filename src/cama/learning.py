@@ -9,7 +9,6 @@ graph scores best on the full alignment subset.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import random
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from .discovery import DEFAULT_ALPHA, discover_cpdag
 from .errors import CamaError, EmptyDataset, UnknownKey
 from .graph import GraphBuilder, Mcg, graphs_equal, save_graph, verbalize
 from .matrix import IncidenceMatrix
-from .model import KnowledgePoint, QaRecord, ReplacementMap
+from .model import KnowledgePoint, QaRecord, ReplacementMap, json_line, write_json
 from .parsers import (
     RelationEdit,
     parse_answer,
@@ -456,36 +455,16 @@ def run_learn_pipeline(
     records = extract_all(dataset, granularity, gateway)
     with (run_dir / "extraction.jsonl").open("w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "qa_id": rec.qa_id,
-                        "points": [
-                            {"key": p.key, "description": p.description}
-                            for p in rec.points
-                        ],
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            points = [{"key": p.key, "description": p.description} for p in rec.points]
+            fh.write(json_line({"qa_id": rec.qa_id, "points": points}) + "\n")
 
     canonical, replacements = deduplicate(records, gateway)
-    (run_dir / "canonical_points.json").write_text(
-        json.dumps(
-            {
-                "points": [
-                    {"key": p.key, "description": p.description} for p in canonical
-                ],
-                "replacements": dict(sorted(replacements.pairs.items())),
-            },
-            indent=2,
-            ensure_ascii=False,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    write_json(
+        run_dir / "canonical_points.json",
+        {
+            "points": [{"key": p.key, "description": p.description} for p in canonical],
+            "replacements": dict(sorted(replacements.pairs.items())),
+        },
     )
 
     z = build_incidence_matrix(records, canonical, replacements)
@@ -496,8 +475,5 @@ def run_learn_pipeline(
 
     g_best, report = align(g_init, dataset, align_cfg, gateway)
     save_graph(g_best, run_dir / "graph_best.json")
-    (run_dir / "alignment_report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(run_dir / "alignment_report.json", report.to_dict())
     return g_init, g_best, report

@@ -1,8 +1,10 @@
-"""Core value types: knowledge points, QA records, replacement maps."""
+"""Core value types: knowledge points, QA records, replacement maps; and
+the JSON document format that every loader and writer shares."""
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,10 +87,68 @@ class ReplacementMap:
         return self.pairs.get(normalize_key(key), normalize_key(key))
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in doc if keys.count(key) > 1)
+        raise ValueError(f"repeated key {repeated!r}")
+    return doc
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(data: str | bytes, what: str):
+    """Parse one input document as standard JSON (RFC 8259) in UTF-8.
+
+    A key repeated within one object and the constants NaN, Infinity and
+    -Infinity are refused, where ``json.loads`` alone would keep the last
+    value or load a non-finite float. Every failure is a ParseError naming
+    ``what``.
+    """
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(
+            text, object_pairs_hook=_unique_keys, parse_constant=_refuse_constant
+        )
+    except UnicodeDecodeError as e:
+        raise ParseError(f"invalid {what}: not UTF-8 text", position=e.start) from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid {what}: {e.msg}", position=e.pos) from e
+    except ValueError as e:
+        raise ParseError(f"invalid {what}: {e}") from e
+
+
+def json_list(value, what: str) -> list:
+    """A JSON array as read by ``read_json``: a string or an object would
+    iterate as one, so anything else is a TypeError naming ``what``."""
+    if type(value) is not list:
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def json_text(doc) -> str:
+    """The artifact format: indented, sorted keys, UTF-8 text, final newline."""
+    return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def write_json(path: str | Path, doc) -> None:
+    Path(path).write_text(json_text(doc), encoding="utf-8")
+
+
+def json_line(doc) -> str:
+    """The one-line format of a JSONL record, without its newline."""
+    return json.dumps(doc, ensure_ascii=False, sort_keys=True)
+
+
 def _text(value, field: str) -> str:
-    """A QA text field: a string, or a number written out; null is refused."""
+    """A QA text field: a string, or a finite number written out; null is refused."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValueError(f"{field} must be a string or a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{field} must be a finite number, got {value}")
     return str(value)
 
 
@@ -98,11 +158,7 @@ def load_qa_records(path: str | Path) -> list[QaRecord]:
     Enforces corpus invariants: unique ids, non-empty answers, id, question
     and answer given as text or a number, solution as text or null.
     """
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid QA file {path}: {e.msg}", position=e.pos) from e
+    data = read_json(Path(path).read_bytes(), f"QA file {path}")
     if not isinstance(data, list):
         raise ParseError(f"QA file {path} must contain a JSON list")
     records = []
@@ -135,7 +191,4 @@ def save_qa_records(records: list[QaRecord], path: str | Path) -> None:
         {"id": r.id, "question": r.question, "answer": r.answer, "solution": r.solution}
         for r in records
     ]
-    Path(path).write_text(
-        json.dumps(data, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, data)

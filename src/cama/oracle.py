@@ -8,7 +8,6 @@ CPDAG for comparison against discovery output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from .discovery import BatchTest, _assemble, cpdag_from_ci, meek_closure
 from .errors import ParseError
 from .graph import Mcg, topological_order
 from .matrix import IncidenceMatrix
-from .model import KnowledgePoint
+from .model import KnowledgePoint, json_list, read_json
 
 
 @dataclass(frozen=True)
@@ -226,44 +225,35 @@ def random_true_dag(
 
 
 def _names(value) -> list[str]:
-    """A list of node names as read from JSON: a string is not a list, and
-    each name must be a string."""
-    if type(value) is not list or any(type(n) is not str for n in value):
-        raise TypeError(f"expected a list of node names, got {value!r}")
+    """A list of node names as read from JSON; each name must be a string."""
+    if any(type(n) is not str for n in json_list(value, "node names")):
+        raise TypeError(f"node names must be strings, got {value!r}")
     return value
+
+
+def _cpt(value) -> np.ndarray:
+    """A CPT as read from JSON: nested lists of numbers. NumPy would also
+    take a boolean or a numeric string as a number."""
+    cells = np.asarray(value, dtype=object)
+    if any(type(cell) not in (int, float) for cell in cells.flat):
+        raise TypeError(f"CPT cells must be numbers, got {value!r}")
+    return cells.astype(np.float64)
 
 
 def load_scenario(path: str | Path) -> TrueDag:
     """Read a TrueDag from its JSON scenario document {nodes, parents, cpt}."""
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid scenario JSON: {e.msg}", position=e.pos) from e
+    doc = read_json(Path(path).read_bytes(), "scenario JSON")
     try:
         names = tuple(_names(doc["nodes"]))
         index = {n: i for i, n in enumerate(names)}
         parents = tuple(
             tuple(index[p] for p in _names(doc["parents"][name])) for name in names
         )
-        cpt = tuple(np.asarray(doc["cpt"][name], dtype=np.float64) for name in names)
-    except (KeyError, TypeError, ValueError) as e:
+        cpt = tuple(_cpt(doc["cpt"][name]) for name in names)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"malformed scenario document: {e}") from e
     try:
         return TrueDag(names=names, parents=parents, cpt=cpt)
     except ValueError as e:
         raise ParseError(f"scenario violates invariants: {e}") from e
 
-
-def save_scenario(dag: TrueDag, path: str | Path) -> None:
-    doc = {
-        "nodes": list(dag.names),
-        "parents": {
-            dag.names[i]: [dag.names[p] for p in ps]
-            for i, ps in enumerate(dag.parents)
-        },
-        "cpt": {dag.names[i]: dag.cpt[i].tolist() for i in range(dag.k)},
-    }
-    Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

@@ -1,8 +1,9 @@
 import copy
 import json
 import math
+import operator
 import tempfile
-from functools import cache
+from functools import cache, reduce
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,6 @@ from cama.discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
 from cama.errors import ConfigError
 from cama.graph import Mcg, load_graph, save_graph
 from cama.model import KnowledgePoint, QaRecord, save_qa_records
-from cama.oracle import save_scenario, true_cpdag
 from cama.reasoning import answer_question, evaluate
 
 
@@ -49,21 +49,16 @@ def no_network(monkeypatch):
     monkeypatch.setattr(client_mod, "_requests_transport", refuse)
 
 
-def fork_scenario():
-    import numpy as np
-
-    from cama.oracle import TrueDag
-
-    flip = 0.02
-    return TrueDag(
-        names=("area", "cylinder", "cone"),
-        parents=((), (0,), (0,)),
-        cpt=(
-            np.array([[0.5, 0.5]]),
-            np.array([[1 - flip, flip], [flip, 1 - flip]]),
-            np.array([[1 - flip, flip], [flip, 1 - flip]]),
-        ),
-    )
+FLIP = 0.02
+FORK_SCENARIO = {
+    "nodes": ["area", "cylinder", "cone"],
+    "parents": {"area": [], "cylinder": ["area"], "cone": ["area"]},
+    "cpt": {
+        "area": [[0.5, 0.5]],
+        "cylinder": [[1 - FLIP, FLIP], [FLIP, 1 - FLIP]],
+        "cone": [[1 - FLIP, FLIP], [FLIP, 1 - FLIP]],
+    },
+}
 
 
 class TestConfig:
@@ -187,9 +182,8 @@ class TestConfig:
 
 class TestDiscoverCommand:
     def test_fork_matrix_recovers_area_edges(self, runner, tmp_path):
-        dag = fork_scenario()
         scenario = tmp_path / "scenario.json"
-        save_scenario(dag, scenario)
+        scenario.write_text(json.dumps(FORK_SCENARIO))
         result = runner.invoke(
             main, ["synth", str(scenario), "--rows", "5000", "--seed", "3",
                    "--out-dir", str(tmp_path)],
@@ -214,15 +208,21 @@ class TestDiscoverCommand:
     def test_synth_true_cpdag_artifact(self, runner, tmp_path):
         from cama.graph import graphs_equal
 
-        dag = fork_scenario()
         scenario = tmp_path / "scenario.json"
-        save_scenario(dag, scenario)
+        scenario.write_text(json.dumps(FORK_SCENARIO))
         result = runner.invoke(
             main, ["synth", str(scenario), "--rows", "50", "--out-dir", str(tmp_path)]
         )
         assert result.exit_code == 0, result.output
         stored = load_graph(tmp_path / "true_cpdag.json")
-        assert graphs_equal(stored, true_cpdag(dag))
+        # the fork's CPDAG, built here so the check does not go through
+        # load_scenario: both edges at the root stay undirected
+        fork_cpdag = Mcg(
+            nodes=tuple(KnowledgePoint(key=n) for n in FORK_SCENARIO["nodes"]),
+            undirected=frozenset({(0, 1), (0, 2)}),
+        )
+        assert [p.key for p in stored.nodes] == FORK_SCENARIO["nodes"]
+        assert graphs_equal(stored, fork_cpdag)
 
     def test_non_numeric_cpt_machine_readable_error(self, runner, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -244,8 +244,16 @@ class TestDiscoverCommand:
             '{"nodes": ["a", "b"], "parents": {"a": [], "b": "a"},'
             ' "cpt": {"a": [[0.5, 0.5]], "b": [[0.5, 0.5], [0.5, 0.5]]}}',
             '{"nodes": [null], "parents": {"None": []}, "cpt": {"None": [[0.5, 0.5]]}}',
+            '{"nodes": ["a"], "parents": {"a": []}, "cpt": {"a": [[true, false]]}}',
+            '{"nodes": ["a"], "parents": {"a": []}, "cpt": {"a": [["0.5", "0.5"]]}}',
+            '{"nodes": ["a"], "parents": {"a": []}, "cpt": {"a": [[1' + "0" * 400 + ', 0]]}}',
+            '{"nodes": ["a", "b"], "parents": {"a": [], "b": []},'
+            ' "cpt": {"a": [[0.5, 0.5]], "b": [[0.5, 0.5]]}, "nodes": ["a"]}',
         ],
-        ids=["nan-cpt", "repeated-name", "string-nodes", "string-parents", "null-name"],
+        ids=[
+            "nan-cpt", "repeated-name", "string-nodes", "string-parents", "null-name",
+            "boolean-cpt", "string-cpt", "huge-integer-cpt", "repeated-key",
+        ],
     )
     def test_invalid_scenario_machine_readable_error(self, runner, tmp_path, scenario_doc):
         scenario = tmp_path / "scenario.json"
@@ -279,31 +287,98 @@ def value_paths(doc, prefix=()):
             yield from value_paths(value, (*prefix, key))
 
 
+def value_at(doc, path):
+    return reduce(operator.getitem, path, doc)
+
+
 def replaced(doc, path, value):
     if not path:
         return value
     doc = copy.deepcopy(doc)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    value_at(doc, path[:-1])[path[-1]] = value
     return doc
 
 
-def synth(text: str):
-    """(exit code, output, incidence.csv and true_cpdag.json bytes or None)
-    of ``cama synth`` on a scenario document."""
+# a list swap holds no string, so it cannot name an existing node
+type_swaps = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(alphabet="abc", min_size=1, max_size=3),
+    st.lists(
+        st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False)), min_size=1, max_size=2
+    ),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+def swapped(doc, paths=None):
+    """JSON text of ``doc`` with the value at one path replaced by a type
+    swap. A string never replaces a string: that renames a node instead of
+    breaking the document."""
+    if paths is None:
+        paths = st.sampled_from(list(value_paths(doc)))
+
+    def swaps_at(path):
+        swaps = type_swaps
+        if isinstance(value_at(doc, path), str):
+            swaps = swaps.filter(lambda value: not isinstance(value, str))
+        return swaps.map(lambda value: replaced(doc, path, value))
+
+    return paths.flatmap(swaps_at).map(json.dumps)
+
+
+def with_repeated_key(doc, key, value):
+    """JSON text of ``doc`` with its top-level ``key`` written a second
+    time, holding ``value``."""
+    return json.dumps(doc)[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
+
+
+def repeated_keys(doc):
+    """A top-level key repeated with a type swap or another of the
+    document's own values."""
+    own_values = st.sampled_from([value_at(doc, path) for path in value_paths(doc)])
+    return st.builds(
+        with_repeated_key, st.just(doc), st.sampled_from(list(doc)), type_swaps | own_values
+    )
+
+
+def truncated(doc):
+    text = json.dumps(doc)
+    return st.integers(0, len(text) - 1).map(lambda cut: text[:cut])
+
+
+def run_on_document(text: str, args, outputs):
+    """(result, bytes of each output file or None) of a cama command run
+    in-process; ``args(document, out_dir)`` gives its arguments."""
     with tempfile.TemporaryDirectory() as tmp:
-        scenario = Path(tmp) / "scenario.json"
-        scenario.write_text(text, encoding="utf-8")
-        out = Path(tmp) / "out"
-        result = CliRunner().invoke(
-            main, ["synth", str(scenario), "--rows", "20", "--out-dir", str(out)]
-        )
+        document = Path(tmp) / "document.json"
+        document.write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(main, args(str(document), tmp))
         files = None
         if result.exit_code == 0:
-            files = [(out / name).read_bytes() for name in ("incidence.csv", "true_cpdag.json")]
+            files = [(Path(tmp) / name).read_bytes() for name in outputs]
         return result, files
+
+
+def assert_loads_as_valid_or_fails_cleanly(result, files, valid_files, text):
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        assert files == valid_files, text
+    else:
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), text
+        error = json.loads(result.output.strip().splitlines()[-1])
+        assert error["error"] == "ParseError", text
+
+
+def synth(text: str):
+    """``cama synth`` on a scenario document: its incidence.csv and
+    true_cpdag.json."""
+    return run_on_document(
+        text,
+        lambda document, out: ["synth", document, "--rows", "20", "--out-dir", out],
+        ["incidence.csv", "true_cpdag.json"],
+    )
 
 
 @cache
@@ -313,22 +388,8 @@ def valid_synth_files():
     return files
 
 
-# a list swap holds no string, so it cannot name an existing node
-type_swaps = st.one_of(
-    st.none(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.text(alphabet="abc", min_size=1, max_size=3),
-    st.lists(st.one_of(st.none(), st.floats(allow_nan=False)), min_size=1, max_size=2),
-    st.sampled_from([math.nan, math.inf, -math.inf]),
-)
 # half the swaps land on a list of names, where a string could pass for a list
 name_lists = [("nodes",), *(("parents", name) for name in VALID_SCENARIO["nodes"])]
-swapped = st.builds(
-    replaced,
-    st.just(VALID_SCENARIO),
-    st.sampled_from(name_lists) | st.sampled_from(list(value_paths(VALID_SCENARIO))),
-    type_swaps,
-)
 duplicated = st.builds(
     lambda i, j: replaced(VALID_SCENARIO, ("nodes", i), VALID_SCENARIO["nodes"][j]),
     st.integers(0, 2),
@@ -336,27 +397,71 @@ duplicated = st.builds(
 ) | st.sampled_from(
     [replaced(VALID_SCENARIO, ("nodes",), [*VALID_SCENARIO["nodes"], name]) for name in "abc"]
 )
-VALID_TEXT = json.dumps(VALID_SCENARIO)
-mutated_text = st.one_of(swapped.map(json.dumps), duplicated.map(json.dumps)) | st.integers(
-    0, len(VALID_TEXT) - 1
-).map(lambda cut: VALID_TEXT[:cut])
+mutated_scenario = st.one_of(
+    swapped(
+        VALID_SCENARIO,
+        st.sampled_from(name_lists) | st.sampled_from(list(value_paths(VALID_SCENARIO))),
+    ),
+    duplicated.map(json.dumps),
+    repeated_keys(VALID_SCENARIO),
+    truncated(VALID_SCENARIO),
+)
 
 
 class TestScenarioDocument:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-    @given(mutated_text)
+    @given(mutated_scenario)
     # a string where a list of names belongs, which iterates as the names
     @example(json.dumps(replaced(VALID_SCENARIO, ("nodes",), "ab")))
     @example(json.dumps(replaced(VALID_SCENARIO, ("parents", "b"), "c")))
+    # booleans that NumPy reads as a valid, different CPT row
+    @example(json.dumps(replaced(VALID_SCENARIO, ("cpt", "a", 0), [True, False])))
     def test_mutated_scenario_loads_as_valid_or_fails_cleanly(self, text):
         result, files = synth(text)
-        assert "Traceback" not in result.output
-        if result.exit_code == 0:
-            assert files == valid_synth_files(), text
-        else:
-            assert result.exit_code == 1 and isinstance(result.exception, SystemExit), text
-            error = json.loads(result.output.strip().splitlines()[-1])
-            assert error["error"] == "ParseError", text
+        assert_loads_as_valid_or_fails_cleanly(result, files, valid_synth_files(), text)
+
+
+VALID_GRAPH = {
+    "version": 1,
+    "nodes": [
+        {"key": "a", "description": "first"},
+        {"key": "b", "description": ""},
+        {"key": "c", "description": "third"},
+    ],
+    "directed": [[0, 1]],
+    "undirected": [[1, 2]],
+}
+
+
+def export_dot(text: str):
+    """``cama export-dot`` on a graph document: its DOT file."""
+    return run_on_document(
+        text,
+        lambda document, out: ["export-dot", document, "--out", str(Path(out) / "graph.dot")],
+        ["graph.dot"],
+    )
+
+
+@cache
+def valid_dot_file():
+    result, files = export_dot(json.dumps(VALID_GRAPH))
+    assert result.exit_code == 0, result.output
+    return files
+
+
+mutated_graph = st.one_of(
+    swapped(VALID_GRAPH), repeated_keys(VALID_GRAPH), truncated(VALID_GRAPH)
+)
+
+
+class TestGraphDocument:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(mutated_graph)
+    # a repeated key whose second value is a valid, different edge list
+    @example(with_repeated_key(VALID_GRAPH, "directed", []))
+    def test_mutated_graph_loads_as_valid_or_fails_cleanly(self, text):
+        result, files = export_dot(text)
+        assert_loads_as_valid_or_fails_cleanly(result, files, valid_dot_file(), text)
 
 
 class TestExportDotCommand:

@@ -308,6 +308,20 @@ class TestSerialization:
         with pytest.raises(ParseError, match="integers"):
             deserialize_graph(doc)
 
+    @pytest.mark.parametrize(
+        "fields",
+        ['"nodes": ""', '"nodes": {}', '"nodes": [], "directed": ""', '"nodes": [], "undirected": {}'],
+    )
+    def test_non_list_field_rejected(self, fields):
+        # a string or an object iterates, and would load as no nodes or no edges
+        with pytest.raises(ParseError, match="must be a list"):
+            deserialize_graph(f'{{"version": 1, {fields}}}')
+
+    def test_repeated_key_in_node_rejected(self):
+        doc = '{"version": 1, "nodes": [{"key": "a", "key": "b"}]}'
+        with pytest.raises(ParseError, match="repeated key 'key'"):
+            deserialize_graph(doc)
+
     def test_accepts_bytes(self):
         g = Mcg(nodes=points(2), directed={(0, 1)})
         assert graphs_equal(deserialize_graph(serialize_graph(g).encode()), g)

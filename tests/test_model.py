@@ -11,6 +11,7 @@ from cama.model import (
     ReplacementMap,
     load_qa_records,
     normalize_key,
+    read_json,
 )
 
 
@@ -47,11 +48,51 @@ class TestQaRecord:
             QaRecord(id=" ", question="q", answer="1")
 
 
+class TestReadJson:
+    def test_malformed_text_positioned_error(self):
+        with pytest.raises(ParseError, match=r"invalid doc: Expecting value \(position 6\)"):
+            read_json('{"a": ', "doc")
+
+    def test_repeated_key_rejected_at_any_depth(self):
+        assert read_json('[{"a": 1}, {"a": 2}]', "doc") == [{"a": 1}, {"a": 2}]
+        with pytest.raises(ParseError, match="invalid doc: repeated key 'a'"):
+            read_json('[{"b": {"a": 1, "c": 2, "a": 1}}]', "doc")
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_standard_constants_rejected(self, constant):
+        with pytest.raises(ParseError, match=f"invalid doc: {constant} is not a JSON number"):
+            read_json(f'{{"a": [1, {constant}]}}', "doc")
+
+    def test_bytes_must_be_utf8(self):
+        assert read_json('{"k": "é"}'.encode(), "doc") == {"k": "é"}
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            read_json(b'{"k": "\xff"}', "doc")
+        assert err.value.position == 7
+
+
 class TestLoadQaRecords:
     def load(self, tmp_path, *entries):
+        return self.load_text(tmp_path, json.dumps(list(entries)))
+
+    def load_text(self, tmp_path, text):
         path = tmp_path / "qa.json"
-        path.write_text(json.dumps(list(entries)), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         return load_qa_records(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"id": "a", "question": "q", "answer": NaN}',
+            '{"id": Infinity, "question": "q", "answer": "1"}',
+            '{"id": "a", "question": -Infinity, "answer": "1"}',
+            '{"id": "a", "question": "q", "answer": 1e400}',
+            '{"id": "a", "question": "q", "answer": "1", "answer": "2"}',
+        ],
+        ids=["nan", "infinity", "minus-infinity", "overflow", "repeated-key"],
+    )
+    def test_non_finite_number_or_repeated_key_rejected(self, tmp_path, entry):
+        with pytest.raises(ParseError, match="answer|id|question"):
+            self.load_text(tmp_path, f"[{entry}]")
 
     def test_numbers_are_written_out(self, tmp_path):
         (rec,) = self.load(tmp_path, {"id": 7, "question": 12, "answer": 42})
