@@ -16,10 +16,10 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from .errors import CamaError, ParseError, RateLimited, ScriptMismatch, TransportError
-from .model import json_line
+from .model import json_line, read_text
 from .templates import TEMPLATE_TAGS, render_template
 
 logger = logging.getLogger(__name__)
@@ -27,6 +27,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_TEMPERATURE = 0.6
 DEFAULT_MAX_RETRIES = 3
 DEFAULT_IN_FLIGHT_LIMIT = 4
+
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,9 @@ class ChatClient(Protocol):
     def complete(self, request: ChatRequest) -> str: ...
 
 
-def _settle(complete: Callable[[ChatRequest], str], request: ChatRequest) -> str | CamaError:
+def _settle(fn: Callable[..., R], arg) -> R | CamaError:
     try:
-        return complete(request)
+        return fn(arg)
     except CamaError as e:
         # the traceback holds the frames the error passed through, whose
         # locals can hold the error again: a cycle only a full collection frees
@@ -73,12 +75,17 @@ def complete_all(client: ChatClient, requests: Sequence[ChatRequest]) -> list[st
 
 
 def ask(
-    client: ChatClient, tag: str, bindings: Sequence[dict[str, str]]
-) -> list[str | CamaError]:
-    """Render template ``tag`` with each bindings dict and complete the
-    prompts as one batch through ``complete_all``; one result per dict, in
-    order."""
-    return complete_all(client, [ChatRequest(render_template(tag, b), tag) for b in bindings])
+    client: ChatClient,
+    tag: str,
+    bindings: Sequence[dict[str, str]],
+    parse: Callable[[str], R] = str,
+) -> list[R | CamaError]:
+    """Render template ``tag`` with each bindings dict, complete the prompts as
+    one batch through ``complete_all`` and return, per dict in order,
+    ``parse(reply)`` or the ``CamaError`` of the failed call or parse. The
+    default ``parse``, ``str``, keeps the reply as it is."""
+    replies = complete_all(client, [ChatRequest(render_template(tag, b), tag) for b in bindings])
+    return [r if isinstance(r, CamaError) else _settle(parse, r) for r in replies]
 
 
 # --- transcript ------------------------------------------------------------
@@ -93,22 +100,19 @@ class TranscriptEntry:
 
 def load_transcript(path: str | Path) -> list[TranscriptEntry]:
     entries = []
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    # only a newline ends a line: splitlines() would also split a response
+    # at the U+2028 or U+0085 that a JSON line may hold unescaped
+    for lineno, line in enumerate(read_text(path, "transcript").split("\n"), start=1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
-            entries.append(
-                TranscriptEntry(
-                    tag=doc["tag"],
-                    prompt_sha256=doc["prompt_sha256"],
-                    response=doc["response"],
-                )
-            )
+            fields = (doc["tag"], doc["prompt_sha256"], doc["response"])
+            if not all(isinstance(f, str) for f in fields):
+                raise TypeError("tag, prompt_sha256 and response must be strings")
         except (json.JSONDecodeError, KeyError, TypeError) as e:
             raise ParseError(f"bad transcript line {lineno}: {e}") from e
+        entries.append(TranscriptEntry(*fields))
     return entries
 
 

@@ -17,6 +17,7 @@ from .client import (
 from .discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
 from .errors import ConfigError
 from .learning import DEFAULT_GRANULARITY, AlignmentConfig
+from .model import read_text
 
 ENV_API_BASE = "CAMA_API_BASE"
 ENV_API_KEY = "CAMA_API_KEY"
@@ -36,7 +37,6 @@ class Config:
     in_flight_limit: int = DEFAULT_IN_FLIGHT_LIMIT
     max_cond_size: int = DEFAULT_MAX_COND_SIZE
     repetitions: int = 1
-    seed: int = 0
     run_dir: Path = Path("cama_run")
     transcript_mode: str = "live"
     transcript_path: Path | None = None
@@ -133,7 +133,7 @@ def load_config(path: str | Path | None = None, **overrides) -> Config:
         file_path = Path(path)
         if not file_path.is_file():
             raise ConfigError(f"config file not found: {file_path}")
-        values = parse_config_text(file_path.read_text(encoding="utf-8"))
+        values = parse_config_text(read_text(file_path, "config file"))
 
     if os.environ.get(ENV_API_BASE):
         values["api_base"] = os.environ[ENV_API_BASE]
@@ -147,8 +147,8 @@ def load_config(path: str | Path | None = None, **overrides) -> Config:
     align_values = values.pop("alignment", {})
     if not isinstance(align_values, dict):
         raise ConfigError("alignment override must be a mapping")
-    if isinstance(values.get("seed"), int):
-        align_values.setdefault("seed", values["seed"])
+    if "seed" in values:
+        align_values.setdefault("seed", values.pop("seed"))
     try:
         alignment = AlignmentConfig(**align_values)
     except (TypeError, ValueError) as e:

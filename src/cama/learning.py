@@ -23,6 +23,7 @@ from .graph import GraphBuilder, Mcg, graphs_equal, save_graph, verbalize
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint, QaRecord, ReplacementMap, json_line, write_json
 from .parsers import (
+    DedupResult,
     RelationEdit,
     parse_answer,
     parse_dedup,
@@ -113,6 +114,12 @@ class AlignmentReport:
 # --- dataset construction ----------------------------------------------------
 
 
+def _answer_and_solution(reply: str) -> tuple[str, str]:
+    """The answer, and the ``<think>`` block (else the whole reply) as solution."""
+    parsed = parse_answer(reply)
+    return parsed.answer, parsed.think or reply
+
+
 def build_dataset(qa: list[QaRecord], gateway: ChatClient) -> list[QaRecord]:
     """Generate a solution per question and keep records the model solved.
 
@@ -122,25 +129,18 @@ def build_dataset(qa: list[QaRecord], gateway: ChatClient) -> list[QaRecord]:
     for rec in qa:
         if rec.solution is not None:
             raise ValueError(f"record {rec.id!r} already has a solution")
-    replies = ask(gateway, "p_g", [{"question": rec.question} for rec in qa])
+    questions = [{"question": rec.question} for rec in qa]
     retained: list[QaRecord] = []
-    for rec, raw in zip(qa, replies):
+    for rec, result in zip(qa, ask(gateway, "p_g", questions, _answer_and_solution)):
         # a returned error is logged, never raised again: a raise would tie
         # its traceback to this frame, which still holds the error
-        if isinstance(raw, CamaError):
-            logger.warning("dropping %s: generation failed (%s)", rec.id, raw)
+        if isinstance(result, CamaError):
+            logger.warning("dropping %s: generation failed (%s)", rec.id, result)
             continue
-        try:
-            parsed = parse_answer(raw)
-        except CamaError as e:
-            logger.warning("dropping %s: generation failed (%s)", rec.id, e)
+        answer, solution = result
+        if not judge_exact(answer, rec.answer):
+            logger.info("dropping %s: predicted %r != truth %r", rec.id, answer, rec.answer)
             continue
-        if not judge_exact(parsed.answer, rec.answer):
-            logger.info(
-                "dropping %s: predicted %r != truth %r", rec.id, parsed.answer, rec.answer
-            )
-            continue
-        solution = parsed.think if parsed.think else raw
         retained.append(dataclasses.replace(rec, solution=solution))
     if not retained:
         raise EmptyDataset("no question was answered correctly during construction")
@@ -159,22 +159,18 @@ def extract_all(
 ) -> list[ExtractionRecord]:
     """One independent extraction call per pair; order preserved.
 
-    Parse failures degrade to an empty point list for that record.
+    A failed call or parse degrades to an empty point list for that record.
     """
     bindings = [
         {"question_solution_pairs": _format_qa_pair(rec), "lambda": str(granularity)}
         for rec in qs
     ]
+    parse = lambda reply: parse_extracted_points(reply, granularity).points
     records: list[ExtractionRecord] = []
-    for rec, raw in zip(qs, ask(gateway, "p_p", bindings)):
-        points = ()
-        if isinstance(raw, CamaError):
-            logger.warning("extraction failed for %s: %s", rec.id, raw)
-        else:
-            try:
-                points = parse_extracted_points(raw, granularity).points
-            except CamaError as e:
-                logger.warning("extraction failed for %s: %s", rec.id, e)
+    for rec, points in zip(qs, ask(gateway, "p_p", bindings, parse)):
+        if isinstance(points, CamaError):
+            logger.warning("extraction failed for %s: %s", rec.id, points)
+            points = ()
         records.append(ExtractionRecord(qa_id=rec.id, points=points))
     return records
 
@@ -199,23 +195,21 @@ def deduplicate(
     pool = union_points(records)
     if not pool:
         return [], ReplacementMap()
-    listing = "\n".join(f"- **{p.key}**: {p.description}" for p in pool)
-    [raw] = ask(gateway, "p_r", [{"list_all_knowledge_points": listing}])
-    if isinstance(raw, CamaError):
-        logger.warning("deduplication degraded to identity: %s", raw)
-        return pool, ReplacementMap()
     pool_keys = {p.key for p in pool}
-    try:
-        result = parse_dedup(raw)
+
+    def parse(reply: str) -> DedupResult:
+        result = parse_dedup(reply)
         for gone, survivor in result.replacements.pairs.items():
             if survivor not in pool_keys:
-                raise CamaError(
-                    f"replacement target {survivor!r} is not an extracted point"
-                )
+                raise CamaError(f"replacement target {survivor!r} is not an extracted point")
             if gone not in pool_keys:
                 logger.warning("ignoring removal of unknown point %r", gone)
-    except CamaError as e:
-        logger.warning("deduplication degraded to identity: %s", e)
+        return result
+
+    listing = "\n".join(f"- **{p.key}**: {p.description}" for p in pool)
+    [result] = ask(gateway, "p_r", [{"list_all_knowledge_points": listing}], parse)
+    if isinstance(result, CamaError):
+        logger.warning("deduplication degraded to identity: %s", result)
         return pool, ReplacementMap()
     removed = {k for k in result.removed if k in pool_keys}
     canonical = [p for p in pool if p.key not in removed]
@@ -339,14 +333,9 @@ def run_alignment_round(
         "qa_correct_answer": _format_feedback_entries(correct_part),
         "qa_incorrect_answer": incorrect_text,
     }
-    [raw] = ask(gateway, "p_u", [bindings])
-    if isinstance(raw, CamaError):
-        logger.warning("update call failed, keeping graph unchanged: %s", raw)
-        return RoundResult(graph=g, precision=precision)
-    try:
-        edits = parse_relation_edits(raw)
-    except CamaError as e:
-        logger.warning("update call failed, keeping graph unchanged: %s", e)
+    [edits] = ask(gateway, "p_u", [bindings], parse_relation_edits)
+    if isinstance(edits, CamaError):
+        logger.warning("update call failed, keeping graph unchanged: %s", edits)
         return RoundResult(graph=g, precision=precision)
 
     new_graph, applied, rejected, skipped = apply_relation_edits(g, edits)

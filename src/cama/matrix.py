@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
+from .model import read_text
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,10 @@ def incidence_from_csv(text: str) -> IncidenceMatrix:
     if n < len(body):
         raise ParseError(f"line {n + 2}: expected {width} fields, got {len(body[n])}")
     row_ids = tuple(row[0] for row in full)
-    return IncidenceMatrix(cells=cells, row_ids=row_ids, col_keys=tuple(col_keys))
+    try:
+        return IncidenceMatrix(cells=cells, row_ids=row_ids, col_keys=tuple(col_keys))
+    except ValueError as e:  # a repeated column key
+        raise ParseError(f"invalid incidence CSV: {e}") from e
 
 
 def _parse_cells(row: list[str], lineno: int) -> list[int]:
@@ -137,4 +141,4 @@ def _parse_cells(row: list[str], lineno: int) -> list[int]:
 
 
 def load_incidence_csv(path: str | Path) -> IncidenceMatrix:
-    return incidence_from_csv(Path(path).read_text(encoding="utf-8"))
+    return incidence_from_csv(read_text(path, "incidence CSV"))

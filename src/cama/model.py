@@ -121,6 +121,15 @@ def read_json(data: str | bytes, what: str):
         raise ParseError(f"invalid {what}: {e}") from e
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The text of input file ``path``, read as UTF-8 with universal newlines.
+    Other bytes are a ParseError naming ``what``, as in ``read_json``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"invalid {what}: not UTF-8 text", position=e.start) from e
+
+
 def json_list(value, what: str) -> list:
     """A JSON array as read by ``read_json``: a string or an object would
     iterate as one, so anything else is a TypeError naming ``what``."""

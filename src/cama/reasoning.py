@@ -126,19 +126,19 @@ def answer_questions(
         logger.warning("question %s failed: %s", records[i].id, error)
         failures[i] = f"{type(error).__name__}: {error}"
 
-    def step(tag: str, bindings_by_index: dict[int, dict[str, str]]) -> dict[int, str]:
-        results = ask(gateway, tag, list(bindings_by_index.values()))
-        replies = {}
+    def step(tag: str, bindings_by_index: dict[int, dict[str, str]], parse=str) -> dict:
+        results = ask(gateway, tag, list(bindings_by_index.values()), parse)
+        kept = {}
         for i, result in zip(bindings_by_index, results):
             if isinstance(result, CamaError):
                 fail(i, result)
             else:
-                replies[i] = result
-        return replies
+                kept[i] = result
+        return kept
 
     traces = step("p_t", {i: {"question": q.question} for i, q in enumerate(records)})
     elements = verbalize(g).elements_text()
-    matches = step(
+    chosen: dict[int, frozenset[int]] = step(
         "p_m",
         {
             i: {
@@ -147,16 +147,9 @@ def answer_questions(
             }
             for i, trace in traces.items()
         },
+        lambda reply: frozenset(parse_chosen_factors(reply, g.k)),
     )
-    chosen: dict[int, frozenset[int]] = {}
-    views: dict[int, Verbalization] = {}
-    for i, raw in matches.items():
-        try:
-            chosen[i] = frozenset(parse_chosen_factors(raw, g.k))
-        except CamaError as e:
-            fail(i, e)
-            continue
-        views[i] = verbalize(extract_subgraph(g, chosen[i]))
+    views = {i: verbalize(extract_subgraph(g, c)) for i, c in chosen.items()}
     raw_answers = step(
         "p_a",
         {

@@ -26,6 +26,7 @@ from cama.config import Config, build_client, load_config
 from cama.discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
 from cama.errors import ConfigError
 from cama.graph import Mcg, load_graph, save_graph
+from cama.learning import extract_all
 from cama.model import KnowledgePoint, QaRecord, save_qa_records
 from cama.reasoning import answer_question, evaluate
 
@@ -174,7 +175,9 @@ class TestConfig:
         )
         assert result.exit_code == 0, result.output
         [cfg] = built
-        assert (cfg.alpha, cfg.granularity, cfg.seed, cfg.repetitions) == (0.01, 3, 7, 2)
+        assert (cfg.alpha, cfg.granularity, cfg.alignment.seed, cfg.repetitions) == (
+            0.01, 3, 7, 2
+        )
         assert (cfg.transcript_mode, cfg.transcript_path, cfg.run_dir) == (
             "replay", Path("t.jsonl"), tmp_path
         )
@@ -569,3 +572,75 @@ class TestReplayFlows:
     def test_missing_input_file_fails_cleanly(self, runner, tmp_path):
         result = runner.invoke(main, ["evaluate", "missing.json", "also-missing.json"])
         assert result.exit_code != 0
+
+
+def discover_args(tmp_path, csv=b"id,a,b\nr1,0,1\nr2,1,0\n", config=None):
+    (tmp_path / "z.csv").write_bytes(csv)
+    args = ["discover", str(tmp_path / "z.csv"), "--run-dir", str(tmp_path)]
+    if config is not None:
+        (tmp_path / "cama.conf").write_bytes(config)
+        args += ["--config", str(tmp_path / "cama.conf")]
+    return args
+
+
+def evaluate_replay_args(tmp_path, transcript):
+    save_graph(Mcg(nodes=(KnowledgePoint("alpha", "a"),)), tmp_path / "graph.json")
+    save_qa_records(make_corpus([("q01", 1, 2, ["alpha"])]), tmp_path / "test.json")
+    (tmp_path / "t.jsonl").write_bytes(transcript)
+    return ["evaluate", str(tmp_path / "graph.json"), str(tmp_path / "test.json"),
+            "--mode", "replay", "--transcript", str(tmp_path / "t.jsonl"),
+            "--run-dir", str(tmp_path / "run")]
+
+
+def error_line(result) -> dict:
+    assert result.exit_code == 1
+    return json.loads(result.output.strip().splitlines()[-1])
+
+
+class TestLoaderErrors:
+    """A loader turns a bad input file into the JSON error line and exit 1,
+    never a traceback."""
+
+    @pytest.mark.parametrize(
+        "args_of",
+        [
+            pytest.param(
+                lambda p: discover_args(p, csv=b"id,a,b\nr1,0,1\nr\xff,1,0\n"),
+                id="incidence-csv",
+            ),
+            pytest.param(
+                lambda p: discover_args(p, config=b"alpha = 0.01  # \xff\n"), id="config"
+            ),
+            pytest.param(
+                lambda p: evaluate_replay_args(
+                    p, b'{"prompt_sha256": "0", "response": "\xff", "tag": "p_t"}\n'
+                ),
+                id="transcript",
+            ),
+        ],
+    )
+    def test_non_utf8_byte_is_a_parse_error(self, runner, tmp_path, args_of):
+        error = error_line(runner.invoke(main, args_of(tmp_path)))
+        assert error["error"] == "ParseError"
+        assert "not UTF-8 text" in error["message"]
+
+    def test_non_string_transcript_response_is_a_parse_error(
+        self, runner, tmp_path, no_network
+    ):
+        dataset = make_corpus([("q01", 1, 2, ["alpha"]), ("q02", 3, 4, ["beta"])])
+        save_qa_records(dataset, tmp_path / "dataset.json")
+        transcript = tmp_path / "t.jsonl"
+        extract_all(dataset, 3, RecordingClient(FakeLlm(), transcript))
+        first, second = transcript.read_text(encoding="utf-8").splitlines()
+        transcript.write_text(
+            json.dumps({**json.loads(first), "response": 5}) + "\n" + second + "\n"
+        )
+        result = runner.invoke(
+            main,
+            ["learn", str(tmp_path / "dataset.json"), "--mode", "replay",
+             "--transcript", str(transcript), "--run-dir", str(tmp_path / "run")],
+        )
+        assert error_line(result) == {
+            "error": "ParseError",
+            "message": "bad transcript line 1: tag, prompt_sha256 and response must be strings",
+        }

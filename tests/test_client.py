@@ -86,6 +86,25 @@ class TestTranscriptFile:
         with pytest.raises(ParseError):
             load_transcript(path)
 
+    @pytest.mark.parametrize("field", ["tag", "prompt_sha256", "response"])
+    @pytest.mark.parametrize("value", [5, None, ["text"]], ids=["int", "null", "list"])
+    def test_non_string_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "t.jsonl"
+        doc = json.loads(transcript_line(entry("p_t", "a", "ra")))
+        path.write_text(transcript_line(entry("p_t", "b", "rb")) + "\n"
+                        + json.dumps({**doc, field: value}) + "\n")
+        with pytest.raises(ParseError, match="bad transcript line 2: .* must be strings"):
+            load_transcript(path)
+
+    def test_line_separators_inside_a_response_round_trip(self, tmp_path):
+        # a JSON line keeps U+0085, U+2028 and U+2029 unescaped
+        path = tmp_path / "t.jsonl"
+        entries = [entry("p_t", "a", "x\u2028y\u2029z\x85w"), entry("p_a", "b", "rb")]
+        path.write_text(
+            "\n".join(transcript_line(e) for e in entries) + "\n", encoding="utf-8"
+        )
+        assert load_transcript(path) == entries
+
     def test_recording_appends(self, tmp_path):
         path = tmp_path / "rec.jsonl"
         inner = ScriptedChatClient([entry("p_t", "q", "resp")])

@@ -115,6 +115,10 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError):
             incidence_from_csv("id,a,b\nr1,1\n")
 
+    def test_repeated_column_key_rejected(self):
+        with pytest.raises(ParseError, match="column keys must be pairwise distinct"):
+            incidence_from_csv("id,a,a\nr1,0,1\n")
+
     def test_empty_document_rejected(self):
         with pytest.raises(ParseError):
             incidence_from_csv("")
