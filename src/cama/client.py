@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from .errors import CamaError, ParseError, RateLimited, ScriptMismatch, TransportError
-from .model import json_line, read_text
+from .model import json_line, read_json, read_text
 from .templates import TEMPLATE_TAGS, render_template
 
 logger = logging.getLogger(__name__)
@@ -105,14 +105,16 @@ def load_transcript(path: str | Path) -> list[TranscriptEntry]:
     for lineno, line in enumerate(read_text(path, "transcript").split("\n"), start=1):
         if not line.strip():
             continue
+        doc = read_json(line, f"transcript line {lineno}")
         try:
-            doc = json.loads(line)
-            fields = (doc["tag"], doc["prompt_sha256"], doc["response"])
-            if not all(isinstance(f, str) for f in fields):
-                raise TypeError("tag, prompt_sha256 and response must be strings")
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+            tag, sha, response = doc["tag"], doc["prompt_sha256"], doc["response"]
+        except (KeyError, TypeError) as e:
             raise ParseError(f"bad transcript line {lineno}: {e}") from e
-        entries.append(TranscriptEntry(*fields))
+        if not (isinstance(tag, str) and isinstance(sha, str) and isinstance(response, str)):
+            raise ParseError(
+                f"bad transcript line {lineno}: tag, prompt_sha256 and response must be strings"
+            )
+        entries.append(TranscriptEntry(tag, sha, response))
     return entries
 
 

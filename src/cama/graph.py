@@ -8,11 +8,19 @@ part is always acyclic.
 check. Code that edits a graph edge by edge (discovery's orientation steps,
 the alignment loop's relation edits) works on a mutable ``GraphBuilder``
 and freezes it to an ``Mcg`` once, at the boundary.
+
+An ``Mcg`` verbalizes itself once, on first use, and keeps the text together
+with the two endpoints of each relation line. ``verbalize(g, selected)``
+renders the subgraph induced by ``selected`` from that text, by keeping the
+lines whose nodes are all selected and numbering them anew, so a view of a
+subgraph builds no ``Mcg`` of its own.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -31,22 +39,22 @@ UNDIRECTED_SENTENCE = (
 
 
 def topological_order(k: int, directed: Iterable[tuple[int, int]]) -> list[int] | None:
-    """Kahn topological sort; None when the directed edges contain a cycle."""
-    succ: dict[int, list[int]] = {i: [] for i in range(k)}
+    """Kahn topological sort, smallest ready node first; None when the
+    directed edges contain a cycle. Endpoints must lie in 0..k-1."""
+    succ: list[list[int]] = [[] for _ in range(k)]
     indeg = [0] * k
     for u, v in directed:
         succ[u].append(v)
         indeg[v] += 1
-    ready = sorted(i for i in range(k) if indeg[i] == 0)
+    ready = [i for i in range(k) if indeg[i] == 0]  # ascending, so a heap
     order = []
     while ready:
-        n = ready.pop(0)
+        n = heapq.heappop(ready)
         order.append(n)
-        for m in sorted(succ[n]):
+        for m in succ[n]:
             indeg[m] -= 1
             if indeg[m] == 0:
-                ready.append(m)
-        ready.sort()
+                heapq.heappush(ready, m)
     return order if len(order) == k else None
 
 
@@ -97,12 +105,36 @@ class Mcg:
     def edge_count(self) -> int:
         return len(self.directed) + len(self.undirected)
 
+    @cached_property
+    def _verbalized(self) -> tuple[Verbalization, tuple[tuple[int, int], ...]]:
+        """The whole graph's verbalization, computed on first use, and the
+        two node indices of each of its relation lines, in line order.
+
+        Relations list directed edges first, then undirected, each ordered
+        by node keys, so that equal graphs verbalize identically regardless
+        of node order.
+        """
+        key = [p.key for p in self.nodes]
+        by_keys = lambda edge: (key[edge[0]], key[edge[1]])
+        directed = sorted(self.directed, key=by_keys)
+        undirected = sorted(
+            ((u, v) if key[u] < key[v] else (v, u) for u, v in self.undirected), key=by_keys
+        )
+        sentences = [DIRECTED_SENTENCE.format(u=key[u], v=key[v]) for u, v in directed]
+        sentences += [UNDIRECTED_SENTENCE.format(u=key[u], v=key[v]) for u, v in undirected]
+        text = Verbalization(
+            elements=_numbered(f"{p.key}: {p.description}".rstrip() for p in self.nodes),
+            relations=_numbered(sentences),
+        )
+        return text, tuple(directed + undirected)
+
 
 class GraphBuilder:
     """Mutable adjacency of a mixed graph over nodes 0..k-1, edited pair by pair.
 
     ``parents``/``children`` hold the directed edges and ``neighbors`` the
-    undirected ones; a pair carries at most one edge. Nothing here checks
+    undirected ones; a pair carries at most one edge, so the seed edges must
+    join distinct pairs, as an ``Mcg``'s do. Nothing here checks
     acyclicity by itself: callers that must stay acyclic ask
     ``closes_cycle`` before a directed ``set_pair``, and ``freeze`` runs
     the full ``Mcg`` check.
@@ -118,9 +150,11 @@ class GraphBuilder:
         self.children: list[set[int]] = [set() for _ in range(k)]
         self.neighbors: list[set[int]] = [set() for _ in range(k)]
         for u, v in directed:
-            self.set_pair(u, v, "directed")
+            self.children[u].add(v)
+            self.parents[v].add(u)
         for u, v in undirected:
-            self.set_pair(u, v, "undirected")
+            self.neighbors[u].add(v)
+            self.neighbors[v].add(u)
 
     def adjacent(self, a: int, b: int) -> bool:
         """Any edge, of either kind, between a and b."""
@@ -166,12 +200,18 @@ class GraphBuilder:
         )
 
 
-def extract_subgraph(g: Mcg, selected: Iterable[int]) -> Mcg:
-    """Induced subgraph on ``selected``: an edge survives iff both endpoints do."""
+def _chosen(g: Mcg, selected: Iterable[int]) -> list[int]:
+    """``selected`` in ascending order, once each; all must be nodes of g."""
     chosen = sorted(set(selected))
     for i in chosen:
         if not (0 <= i < g.k):
             raise ValueError(f"selected node {i} out of range for {g.k} nodes")
+    return chosen
+
+
+def extract_subgraph(g: Mcg, selected: Iterable[int]) -> Mcg:
+    """Induced subgraph on ``selected``: an edge survives iff both endpoints do."""
+    chosen = _chosen(g, selected)
     remap = {old: new for new, old in enumerate(chosen)}
     keep = set(chosen)
     return Mcg(
@@ -199,26 +239,36 @@ class Verbalization:
         return "\n".join(self.relations)
 
 
-def verbalize(g: Mcg) -> Verbalization:
+def _numbered(lines: Iterable[str]) -> tuple[str, ...]:
+    return tuple(f"**{i}.** {line}" for i, line in enumerate(lines, start=1))
+
+
+def _unnumbered(line: str) -> str:
+    return line.partition(" ")[2]
+
+
+def verbalize(g: Mcg, selected: Iterable[int] | None = None) -> Verbalization:
     """Render nodes and edges as numbered element / relation lines.
 
     Element numbering is 1-based and matches the factor indices the
-    subgraph-matching prompt asks the model to echo back. Relations list
-    directed edges first, then undirected, each ordered by node keys so
-    that equal graphs verbalize identically regardless of node order.
+    subgraph-matching prompt asks the model to echo back. With
+    ``selected``, the result is the verbalization of
+    ``extract_subgraph(g, selected)``, cut from g's own: the lines of the
+    selected nodes and of the relations between them, numbered from 1.
     """
-    elements = tuple(
-        f"**{i + 1}.** {p.key}: {p.description}".rstrip()
-        for i, p in enumerate(g.nodes)
+    text, ends = g._verbalized
+    if selected is None:
+        return text
+    chosen = _chosen(g, selected)
+    keep = set(chosen)
+    return Verbalization(
+        elements=_numbered(_unnumbered(text.elements[i]) for i in chosen),
+        relations=_numbered(
+            _unnumbered(line)
+            for line, (u, v) in zip(text.relations, ends)
+            if u in keep and v in keep
+        ),
     )
-    directed_keys = sorted((g.nodes[u].key, g.nodes[v].key) for u, v in g.directed)
-    undirected_keys = sorted(
-        tuple(sorted((g.nodes[u].key, g.nodes[v].key))) for u, v in g.undirected
-    )
-    sentences = [DIRECTED_SENTENCE.format(u=u, v=v) for u, v in directed_keys]
-    sentences += [UNDIRECTED_SENTENCE.format(u=u, v=v) for u, v in undirected_keys]
-    relations = tuple(f"**{i + 1}.** {s}" for i, s in enumerate(sentences))
-    return Verbalization(elements=elements, relations=relations)
 
 
 def graphs_equal(a: Mcg, b: Mcg) -> bool:

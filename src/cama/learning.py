@@ -70,8 +70,9 @@ class AlignmentConfig:
 class AlignmentHistory:
     """Ring of the most recent (relations text, precision) pairs, capped at r.
 
-    A graph is verbalized once, when it is pushed; the ``p_u`` prompt of
-    every later round reuses the stored text.
+    A pushed graph's relations text is its cached verbalization, which the
+    round that answered with the graph has already built; the ``p_u``
+    prompt of every later round reuses the stored text.
     """
 
     def __init__(self, r: int):

@@ -100,6 +100,11 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+# one decoder for every document: json.loads given these hooks would build
+# a new decoder on each call, which costs more than the parse of a short line
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_constant=_refuse_constant)
+
+
 def read_json(data: str | bytes, what: str):
     """Parse one input document as standard JSON (RFC 8259) in UTF-8.
 
@@ -110,9 +115,9 @@ def read_json(data: str | bytes, what: str):
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
-        return json.loads(
-            text, object_pairs_hook=_unique_keys, parse_constant=_refuse_constant
-        )
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except UnicodeDecodeError as e:
         raise ParseError(f"invalid {what}: not UTF-8 text", position=e.start) from e
     except json.JSONDecodeError as e:

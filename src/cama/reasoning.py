@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .client import ChatClient, ask
 from .errors import CamaError, EmptyTestSet
-from .graph import Mcg, Verbalization, extract_subgraph, verbalize
+from .graph import Mcg, Verbalization, verbalize
 from .model import QaRecord
 from .parsers import parse_answer, parse_chosen_factors
 
@@ -27,8 +27,10 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class ReasoningOutcome:
     """One answered question. ``view`` is the verbalized subgraph induced by
-    the ``chosen`` node indices, as the answer prompt carried it; a question
-    that failed before that prompt has an empty ``chosen`` and ``view``."""
+    the ``chosen`` node indices, as the answer prompt carried it: it is
+    ``verbalize(g, chosen)``, cut from the whole graph's cached text, and
+    equal to ``verbalize(extract_subgraph(g, chosen))``. A question that
+    failed before that prompt has an empty ``chosen`` and ``view``."""
 
     qa_id: str
     trace: str
@@ -149,7 +151,7 @@ def answer_questions(
         },
         lambda reply: frozenset(parse_chosen_factors(reply, g.k)),
     )
-    views = {i: verbalize(extract_subgraph(g, c)) for i, c in chosen.items()}
+    views = {i: verbalize(g, c) for i, c in chosen.items()}
     raw_answers = step(
         "p_a",
         {

@@ -467,6 +467,70 @@ class TestGraphDocument:
         assert_loads_as_valid_or_fails_cleanly(result, files, valid_dot_file(), text)
 
 
+ANSWER_GRAPH = Mcg(
+    nodes=(KnowledgePoint("alpha", "a"), KnowledgePoint("beta", "b")), directed={(0, 1)}
+)
+ANSWER_QUESTION = question_text("demo", 2, 3, ["alpha", "beta"])
+
+
+@cache
+def valid_transcript() -> tuple[dict, ...]:
+    """The p_t, p_m and p_a lines that ``cama answer`` replays for ANSWER_QUESTION."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "transcript.jsonl"
+        record = QaRecord(id="cli-question", question=ANSWER_QUESTION)
+        answer_question(ANSWER_GRAPH, record, RecordingClient(FakeLlm(), path))
+        return tuple(json.loads(line) for line in path.read_text(encoding="utf-8").splitlines())
+
+
+def transcript_with(index: int, line: str) -> str:
+    """The valid transcript with its line ``index`` replaced by ``line``."""
+    lines = [json.dumps(doc) for doc in valid_transcript()]
+    lines[index] = line
+    return "\n".join(lines) + "\n"
+
+
+def answer_replay(text: str):
+    """``cama answer --mode replay`` on a transcript: its answer_audit.json."""
+
+    def args(document, out):
+        save_graph(ANSWER_GRAPH, Path(out) / "graph.json")
+        return ["answer", str(Path(out) / "graph.json"), ANSWER_QUESTION, "--mode", "replay",
+                "--transcript", document, "--run-dir", out]
+
+    return run_on_document(text, args, ["answer_audit.json"])
+
+
+@cache
+def valid_answer_audit():
+    result, files = answer_replay(transcript_with(0, json.dumps(valid_transcript()[0])))
+    assert result.exit_code == 0, result.output
+    return files
+
+
+def mutated_line(index: int):
+    # a line cut to nothing is skipped, which drops its entry rather than breaking it
+    doc = valid_transcript()[index]
+    line = st.one_of(swapped(doc), repeated_keys(doc), truncated(doc).filter(bool))
+    return line.map(lambda text: transcript_with(index, text))
+
+
+mutated_transcript = st.deferred(
+    lambda: st.integers(0, len(valid_transcript()) - 1).flatmap(mutated_line)
+)
+
+
+class TestTranscriptDocument:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(mutated_transcript)
+    # a repeated response whose second value is a valid, different answer
+    @example(transcript_with(2, with_repeated_key(valid_transcript()[2], "response",
+                                                  "<answer>6</answer>")))
+    def test_mutated_transcript_replays_as_valid_or_fails_cleanly(self, text):
+        result, files = answer_replay(text)
+        assert_loads_as_valid_or_fails_cleanly(result, files, valid_answer_audit(), text)
+
+
 class TestExportDotCommand:
     def test_writes_dot(self, runner, tmp_path):
         g = Mcg(

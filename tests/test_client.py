@@ -96,6 +96,16 @@ class TestTranscriptFile:
         with pytest.raises(ParseError, match="bad transcript line 2: .* must be strings"):
             load_transcript(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            transcript_line(entry("p_t", "a", "ra")) + "\n"
+            + '{"tag": "p_t", "prompt_sha256": "x", "response": "a", "response": "b"}\n'
+        )
+        message = "^invalid transcript line 2: repeated key 'response'$"
+        with pytest.raises(ParseError, match=message):
+            load_transcript(path)
+
     def test_line_separators_inside_a_response_round_trip(self, tmp_path):
         # a JSON line keeps U+0085, U+2028 and U+2029 unescaped
         path = tmp_path / "t.jsonl"

@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import geometry_points
@@ -223,6 +224,74 @@ class TestVerbalize:
         g2 = Mcg(nodes=(c, b, a), directed={(2, 1)}, undirected={(1, 0)})
         assert graphs_equal(g1, g2)
         assert verbalize(g1).relations == verbalize(g2).relations
+
+
+def sorted_list_topological_order(k, directed):
+    """The list-based Kahn sort that ``topological_order`` replaced: it pops
+    the smallest ready node first by re-sorting the ready list."""
+    succ = {i: [] for i in range(k)}
+    indeg = [0] * k
+    for u, v in directed:
+        succ[u].append(v)
+        indeg[v] += 1
+    ready = sorted(i for i in range(k) if indeg[i] == 0)
+    order = []
+    while ready:
+        n = ready.pop(0)
+        order.append(n)
+        for m in sorted(succ[n]):
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                ready.append(m)
+        ready.sort()
+    return order if len(order) == k else None
+
+
+class TestTopologicalOrder:
+    def test_same_order_as_sorted_list_version(self):
+        rng = random.Random(5)
+        cyclic = 0
+        for _ in range(2000):
+            k = rng.randrange(0, 16)
+            p = rng.choice([0.05, 0.15, 0.3])
+            # any direction per pair, so many graphs hold a cycle
+            directed = [
+                (u, v) for u in range(k) for v in range(k) if u != v and rng.random() < p / 2
+            ]
+            want = sorted_list_topological_order(k, directed)
+            assert topological_order(k, directed) == want
+            cyclic += want is None
+        assert 200 < cyclic < 1800
+
+
+class TestSubgraphView:
+    @settings(max_examples=100)
+    @given(random_mcgs(max_nodes=12), st.sets(st.integers(0, 11)))
+    def test_equals_verbalized_extracted_subgraph(self, g, raw_selected):
+        # twelve nodes, so that key order ("kp 10" < "kp 2") differs from index order
+        selected = {i for i in raw_selected if i < g.k}
+        assert verbalize(g, selected) == verbalize(extract_subgraph(g, selected))
+        assert verbalize(g, range(g.k)) == verbalize(g)
+
+    @settings(max_examples=30)
+    @given(random_mcgs(), st.sets(st.integers(-3, 12), min_size=1))
+    def test_out_of_range_index_raises_as_extract_subgraph(self, g, selected):
+        assume(not all(0 <= i < g.k for i in selected))
+        with pytest.raises(ValueError) as extracted:
+            extract_subgraph(g, selected)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(extracted.value))}$"):
+            verbalize(g, selected)
+
+    def test_descriptionless_and_unsorted_nodes(self):
+        nodes = (KnowledgePoint("zeta"), KnowledgePoint("alpha", "first"), KnowledgePoint("mu"))
+        g = Mcg(nodes=nodes, directed={(0, 2), (1, 0)}, undirected={(1, 2)})
+        for selected in ({0, 2}, {1, 2}, {0, 1, 2}, {2}, set()):
+            assert verbalize(g, selected) == verbalize(extract_subgraph(g, selected))
+        assert verbalize(g, [2, 0, 2]).elements == ("**1.** zeta:", "**2.** mu:")
+
+    def test_verbalized_once(self):
+        g = Mcg(nodes=points(3), directed={(0, 1)})
+        assert verbalize(g) is verbalize(g)
 
 
 class TestGraphsEqual:

@@ -63,6 +63,12 @@ class TestReadJson:
         with pytest.raises(ParseError, match=f"invalid doc: {constant} is not a JSON number"):
             read_json(f'{{"a": [1, {constant}]}}', "doc")
 
+    def test_byte_order_mark_rejected_as_json_loads_does(self):
+        message = r"^invalid doc: Unexpected UTF-8 BOM .*\(position 0\)$"
+        for data in ('\ufeff{"a": 1}', '\ufeff{"a": 1}'.encode()):
+            with pytest.raises(ParseError, match=message):
+                read_json(data, "doc")
+
     def test_bytes_must_be_utf8(self):
         assert read_json('{"k": "é"}'.encode(), "doc") == {"k": "é"}
         with pytest.raises(ParseError, match="not UTF-8") as err:

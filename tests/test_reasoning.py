@@ -102,17 +102,18 @@ class TestAnswerQuestion:
         assert outcome.failed and not outcome.correct
 
     def test_empty_subgraph_only_for_questions_failing_before_p_a(self, monkeypatch):
-        calls = []
+        views = []
 
-        def counting(g, selected):
-            calls.append(tuple(selected))
-            return extract_subgraph(g, selected)
+        def counting(g, selected=None):
+            if selected is not None:
+                views.append(tuple(selected))
+            return verbalize(g, selected)
 
-        monkeypatch.setattr(cama.reasoning, "extract_subgraph", counting)
+        monkeypatch.setattr(cama.reasoning, "verbalize", counting)
         records = make_corpus([(f"q{i:02d}", i, i + 1, ["alpha"]) for i in range(4)])
         outcomes = answer_questions(guided_graph(), records, FakeLlm())
         assert not any(o.failed for o in outcomes)
-        assert calls == [(0,)] * 4  # one per answered question, no empty default
+        assert views == [(0,)] * 4  # one per answered question, no empty default
 
         class NoMatchForOdd(FakeLlm):
             def _match(self, prompt):
@@ -120,13 +121,33 @@ class TestAnswerQuestion:
                     return "no factor list here"
                 return super()._match(prompt)
 
-        calls.clear()
+        views.clear()
         outcomes = answer_questions(guided_graph(), records, NoMatchForOdd())
-        assert calls == [(0,)] * 2  # the failed questions build no subgraph
+        assert views == [(0,)] * 2  # the failed questions get no view
         assert [o.failed for o in outcomes] == [False, True, False, True]
         for o in outcomes[1::2]:
             assert o.chosen == frozenset() and o.view == Verbalization(elements=(), relations=())
         assert outcomes[0].view == verbalize(extract_subgraph(guided_graph(), {0}))
+
+    def test_answering_builds_no_graph(self, monkeypatch):
+        g = guided_graph()
+        records = make_corpus(
+            [(f"q{i:02d}", i, i + 1, ["alpha", "beta", "gamma"][: i % 3 + 1]) for i in range(6)]
+        )
+        built = []
+        check = Mcg.__post_init__
+
+        def counting_check(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Mcg, "__post_init__", counting_check)
+        outcomes = answer_questions(g, records, FakeLlm())
+        assert built == []
+        assert all(o.correct for o in outcomes)
+        for o in outcomes:
+            assert o.view == verbalize(extract_subgraph(g, o.chosen))
+        assert {len(o.chosen) for o in outcomes} == {1, 2, 3}
 
     def test_no_ground_truth_never_correct(self, fake_llm):
         record = QaRecord(id="adhoc", question="Problem adhoc: compute 1 + 1. [kps: alpha]")
