@@ -11,7 +11,7 @@ import click
 
 from . import learning, reasoning
 from .config import build_client, load_config
-from .errors import CamaError
+from .errors import CamaError, ParseError
 from .graph import export_dot, load_graph, save_graph
 from .matrix import load_incidence_csv
 from .model import QaRecord, load_qa_records, save_qa_records, write_json
@@ -135,6 +135,8 @@ def cmd_discover(incidence_csv, out, **cfg_kwargs):
 @guarded
 def cmd_answer(graph_file, question, **cfg_kwargs):
     """Answer one question guided by a learned graph."""
+    if not question.strip():
+        raise ParseError("question is blank")
     cfg = load_config(**cfg_kwargs)
     client = build_client(cfg)
     g = load_graph(graph_file)

@@ -10,6 +10,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import random
 import time
 from collections import deque
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
-from .errors import CamaError, ParseError, RateLimited, ScriptMismatch, TransportError
+from .errors import CamaError, ParseError, ScriptMismatch, TransportError
 from .model import json_line, read_json, read_text
 from .templates import TEMPLATE_TAGS, render_template
 
@@ -238,8 +239,8 @@ class HttpChatClient:
     _jitter: random.Random = field(default_factory=lambda: random.Random())
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
 
     def complete_all(self, requests: Sequence[ChatRequest]) -> list[str | CamaError]:
         if not requests:
@@ -271,7 +272,7 @@ class HttpChatClient:
                 logger.warning("attempt %d/%d failed: %s", attempt + 1, attempts, e)
                 continue
             if status == 429:
-                last_error = RateLimited(f"rate limited (attempt {attempt + 1})")
+                last_error = TransportError(f"rate limited (attempt {attempt + 1})")
                 logger.warning("attempt %d/%d rate limited", attempt + 1, attempts)
                 continue
             if status >= 500:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -47,8 +48,8 @@ class Config:
             raise ConfigError("lambda (granularity) must be >= 1")
         if not (0.0 < self.alpha < 1.0):
             raise ConfigError("alpha must lie in (0, 1)")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError("temperature must be finite and >= 0")
         if self.in_flight_limit < 1:
             raise ConfigError("in_flight_limit must be >= 1")
         if self.max_cond_size < 0:

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ColumnOutOfRange, StratumOverflow
 from .graph import GraphBuilder, Mcg
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint
@@ -82,12 +81,12 @@ def g_squared_ci_test(
     k = z.cols
     for col in (x, y, *s):
         if not (0 <= col < k):
-            raise ColumnOutOfRange(f"column {col} out of range for {k} columns")
+            raise ValueError(f"column {col} out of range for {k} columns")
     if x == y or x in s or y in s:
         raise ValueError("x, y, and s must be distinct")
     _check_alpha(alpha)
     if len(s) > 30:
-        raise StratumOverflow(f"conditioning set of size {len(s)} exceeds 30")
+        raise ValueError(f"conditioning set of size {len(s)} exceeds 30")
     statistic, dof = _g_squared(_bincount_tables(z.cells, x, y, sorted(s)))
     p_value = chi2_sf(statistic, dof)
     return CiTestResult(
@@ -380,10 +379,6 @@ def skeleton_from_ci(k: int, decide: BatchTest, max_cond_size: int | None = None
     return Skeleton(adjacency=adjacency, sepsets=sepsets)
 
 
-def _placeholder_points(k: int) -> tuple[KnowledgePoint, ...]:
-    return tuple(KnowledgePoint(key=f"x{i}") for i in range(k))
-
-
 def _assemble(
     points: Sequence[KnowledgePoint],
     pairs: Iterable[tuple[int, int]],
@@ -407,18 +402,15 @@ def _assemble(
     return builder.freeze(points)
 
 
-def orient_v_structures(
-    sk: Skeleton, points: Sequence[KnowledgePoint] | None = None
-) -> Mcg:
+def orient_v_structures(sk: Skeleton, points: Sequence[KnowledgePoint]) -> Mcg:
     """Orient unshielded colliders u->w<-v where w is outside sepset(u, v),
     the single sepset the skeleton search found (the sepset rule).
 
     Opposite proposals over a single edge cancel out and leave it undirected.
     """
     k = sk.k
-    pts = tuple(points) if points is not None else _placeholder_points(k)
-    if len(pts) != k:
-        raise ValueError(f"{len(pts)} points for a {k}-node skeleton")
+    if len(points) != k:
+        raise ValueError(f"{len(points)} points for a {k}-node skeleton")
 
     # an insertion-ordered set: the order decides which orientation a cycle
     # leaves undirected
@@ -435,7 +427,7 @@ def orient_v_structures(
 
     oriented = [(u, v) for u, v in proposed if (v, u) not in proposed]
     pairs = [(u, v) for u in range(k) for v in sk.neighbors(u) if u < v]
-    return _assemble(pts, pairs, oriented)
+    return _assemble(points, pairs, oriented)
 
 
 def meek_closure(g: Mcg) -> Mcg:
@@ -500,7 +492,7 @@ def meek_closure(g: Mcg) -> Mcg:
 def cpdag_from_ci(
     k: int,
     decide: BatchTest,
-    points: Sequence[KnowledgePoint] | None = None,
+    points: Sequence[KnowledgePoint],
     max_cond_size: int | None = None,
 ) -> Mcg:
     """Full PC pipeline (skeleton, colliders, closure) over a batch CI

@@ -24,7 +24,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CycleError, ParseError
+from .errors import ParseError
 from .model import KnowledgePoint, json_list, json_text, read_json
 
 GRAPH_FORMAT_VERSION = 1
@@ -93,7 +93,7 @@ class Mcg:
             if (min(u, v), max(u, v)) in self.undirected:
                 raise ValueError(f"pair ({u},{v}) is both directed and undirected")
         if topological_order(k, self.directed) is None:
-            raise CycleError("directed part of the graph contains a cycle")
+            raise ValueError("directed part of the graph contains a cycle")
 
     @property
     def k(self) -> int:
@@ -320,7 +320,7 @@ def deserialize_graph(data: str | bytes) -> Mcg:
         raise ParseError(f"malformed graph document: {e}") from e
     try:
         return Mcg(nodes=nodes, directed=directed, undirected=undirected)
-    except (ValueError, CycleError) as e:
+    except ValueError as e:
         raise ParseError(f"graph document violates invariants: {e}") from e
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .client import ChatClient, ask
 from .discovery import DEFAULT_ALPHA, discover_cpdag
-from .errors import CamaError, EmptyDataset, UnknownKey
+from .errors import CamaError, EmptyDataset, ReplyError
 from .graph import GraphBuilder, Mcg, graphs_equal, save_graph, verbalize
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint, QaRecord, ReplacementMap, json_line, write_json
@@ -85,9 +85,6 @@ class AlignmentHistory:
         self.entries.append((verbalize(graph).relations_text() or "(none)", precision))
         if len(self.entries) > self.r:
             del self.entries[: len(self.entries) - self.r]
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -202,7 +199,7 @@ def deduplicate(
         result = parse_dedup(reply)
         for gone, survivor in result.replacements.pairs.items():
             if survivor not in pool_keys:
-                raise CamaError(f"replacement target {survivor!r} is not an extracted point")
+                raise ReplyError(f"replacement target {survivor!r} is not an extracted point")
             if gone not in pool_keys:
                 logger.warning("ignoring removal of unknown point %r", gone)
         return result
@@ -231,7 +228,7 @@ def build_incidence_matrix(
         for point in rec.points:
             key = replacements.resolve(point.key)
             if key not in col_of:
-                raise UnknownKey(
+                raise ValueError(
                     f"record {rec.qa_id!r} references {point.key!r}, which is "
                     "neither canonical nor replaced"
                 )

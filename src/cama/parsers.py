@@ -1,9 +1,9 @@
 """Strict parsers for every response format the prompt templates elicit.
 
-All parsers are total over their declared error types: arbitrary input
-either parses or raises a package error, never crashes. Recoverable
-irregularities (unknown relation kinds, out-of-range indices) are dropped
-and logged instead of failing the call.
+All parsers are total over ``ReplyError``: arbitrary input either parses
+or raises it, never crashes. Recoverable irregularities (unknown relation
+kinds, out-of-range indices) are dropped and logged instead of failing the
+call.
 """
 
 from __future__ import annotations
@@ -13,14 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import (
-    CyclicReplacement,
-    MalformedDedup,
-    MissingAnchor,
-    MissingAnswerTag,
-    NoEditsFound,
-    NoPointsFound,
-)
+from .errors import ReplyError
 from .model import KnowledgePoint, ReplacementMap, normalize_key
 
 logger = logging.getLogger(__name__)
@@ -97,13 +90,13 @@ def parse_answer(raw: str) -> ParsedAnswer:
     """
     blocks = _ANSWER_BLOCK.findall(raw)
     if not blocks:
-        raise MissingAnswerTag("response contains no <answer> block")
+        raise ReplyError("response contains no <answer> block")
     body = blocks[-1]
     anchors = list(_ANSWER_ANCHOR.finditer(body))
     candidate = body[anchors[-1].end():] if anchors else body
     answer = _strip_decorations(candidate)
     if not answer:
-        raise MissingAnswerTag("answer block is empty")
+        raise ReplyError("answer block is empty")
     think_match = _THINK_BLOCK.search(raw)
     think = think_match.group(1).strip() if think_match else None
     return ParsedAnswer(answer=answer, think=think)
@@ -139,7 +132,7 @@ def parse_extracted_points(raw: str, granularity: int) -> ExtractedPoints:
         if len(points) == granularity:
             break
     if not points:
-        raise NoPointsFound("no knowledge-point lines found in response")
+        raise ReplyError("no knowledge-point lines found in response")
     return ExtractedPoints(points=tuple(points))
 
 
@@ -154,7 +147,7 @@ def parse_dedup(raw: str) -> DedupResult:
 
     removed_m = _REMOVED_HEADER.search(body)
     if removed_m is None:
-        raise MalformedDedup("missing 'Removed Knowledge Points' section")
+        raise ReplyError("missing 'Removed Knowledge Points' section")
     repl_m = _REPLACEMENT_HEADER.search(body)
     removed_section = body[removed_m.end(): repl_m.start() if repl_m else len(body)]
     removed = []
@@ -172,7 +165,7 @@ def parse_dedup(raw: str) -> DedupResult:
             if not gone_key or not survivor_key:
                 continue
             if gone_key in raw_pairs and raw_pairs[gone_key] != survivor_key:
-                raise MalformedDedup(
+                raise ReplyError(
                     f"{gone_key!r} has conflicting replacements "
                     f"({raw_pairs[gone_key]!r} vs {survivor_key!r})"
                 )
@@ -181,31 +174,29 @@ def parse_dedup(raw: str) -> DedupResult:
     removed_set = set(removed)
     for gone_key in raw_pairs:
         if gone_key not in removed_set:
-            raise MalformedDedup(
+            raise ReplyError(
                 f"replacement given for {gone_key!r}, which is not in the removed list"
             )
 
     resolved: dict[str, str] = {}
     for start in removed:
         if start not in raw_pairs:
-            raise MalformedDedup(f"removed point {start!r} has no replacement")
+            raise ReplyError(f"removed point {start!r} has no replacement")
         target = raw_pairs[start]
         hops = {start}
         while target in removed_set:
             if target in hops:
-                raise CyclicReplacement(f"replacement cycle through {target!r}")
+                raise ReplyError(f"replacement cycle through {target!r}")
             hops.add(target)
             if target not in raw_pairs:
-                raise MalformedDedup(
+                raise ReplyError(
                     f"removed point {target!r} (reached from {start!r}) has no replacement"
                 )
             target = raw_pairs[target]
         resolved[start] = target
 
-    try:
-        replacements = ReplacementMap(pairs=resolved)
-    except ValueError as e:
-        raise MalformedDedup(str(e)) from e
+    # every target survives and differs from its removed key, so the map is valid
+    replacements = ReplacementMap(pairs=resolved)
     return DedupResult(removed=tuple(removed), replacements=replacements)
 
 
@@ -217,7 +208,7 @@ def parse_chosen_factors(raw: str, max_index: int) -> set[int]:
     """
     anchors = list(_FACTORS_ANCHOR.finditer(raw))
     if not anchors:
-        raise MissingAnchor("response lacks the chosen-factors anchor phrase")
+        raise ReplyError("response lacks the chosen-factors anchor phrase")
     tail = raw[anchors[-1].end():]
     bracket = re.search(r"\[([^\]]*)\]", tail)
     scope = bracket.group(1) if bracket else (tail.splitlines() or [""])[0]
@@ -245,7 +236,7 @@ def parse_relation_edits(raw: str) -> list[RelationEdit]:
     body = blocks[-1] if blocks else raw
     stripped = body.strip().strip("[]").strip()
     if not stripped:
-        raise NoEditsFound("relation-edit answer block is empty")
+        raise ReplyError("relation-edit answer block is empty")
     edits: list[RelationEdit] = []
     for a, kind, b in _RELATION_LINE.findall(body):
         kind_norm = kind.strip().lower()

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 
-from .errors import MissingBinding, UnknownTag
 
 P_G = """\
 # Question 
@@ -242,10 +241,10 @@ def render_template(tag: str, bindings: dict[str, str]) -> str:
     braces inside binding values are never re-expanded.
     """
     if tag not in TEMPLATES:
-        raise UnknownTag(f"no template registered for tag {tag!r}")
+        raise ValueError(f"no template registered for tag {tag!r}")
     for name in sorted(PLACEHOLDERS[tag]):
         if name not in bindings:
-            raise MissingBinding(name)
+            raise ValueError(f"missing binding for placeholder {{{name}}}")
     parts = _SEGMENTS[tag].copy()
     parts[1::2] = [str(bindings[name]) for name in parts[1::2]]
     return "".join(parts)

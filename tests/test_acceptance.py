@@ -299,7 +299,7 @@ def test_criterion_6_alignment_mechanics():
         spy,
     )
     history_blocks = [p.count("## Round precision") for p in spy.prompts("p_u")]
-    history_ok = len(ring) == 7 and max(history_blocks) == 7
+    history_ok = len(ring.entries) == 7 and max(history_blocks) == 7
 
     report(
         6,

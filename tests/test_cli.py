@@ -145,6 +145,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_cond_size"):
             load_config(cfg_file)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e999", "-inf"])
+    def test_non_finite_temperature_rejected(self, tmp_path, raw):
+        with pytest.raises(ConfigError, match="temperature must be finite"):
+            Config(temperature=float(raw))
+        cfg_file = tmp_path / "cama.conf"
+        cfg_file.write_text(f"temperature = {raw}\n")
+        with pytest.raises(ConfigError, match="temperature must be finite"):
+            load_config(cfg_file)
+
     def test_gateway_gets_temperature_and_in_flight_limit(self, monkeypatch):
         monkeypatch.setenv("CAMA_API_KEY", "secret")
         cfg = load_config(
@@ -605,6 +614,15 @@ class TestReplayFlows:
         audit = json.loads((tmp_path / "run" / "answer_audit.json").read_text())
         assert audit["parsed_answer"] == "5"
         assert audit["chosen"] == [0]
+
+    @pytest.mark.parametrize("question", ["", "   ", "\n\t"])
+    def test_blank_question_is_a_parse_error(self, runner, tmp_path, no_network, question):
+        _, graph_path = self.make_graph(tmp_path)
+        result = runner.invoke(
+            main, ["answer", str(graph_path), question, "--run-dir", str(tmp_path / "run")]
+        )
+        assert error_line(result) == {"error": "ParseError", "message": "question is blank"}
+        assert not (tmp_path / "run").exists()
 
     def test_build_dataset_replay(self, runner, tmp_path, no_network):
         from cama.learning import build_dataset

@@ -16,7 +16,7 @@ from cama.client import (
     prompt_sha256,
     transcript_line,
 )
-from cama.errors import ParseError, RateLimited, ScriptMismatch, TransportError
+from cama.errors import ParseError, ScriptMismatch, TransportError
 
 
 def ok_body(content: str) -> str:
@@ -168,6 +168,11 @@ class TestHttpClient:
         with pytest.raises(ValueError, match="temperature"):
             self.client(lambda *args: (200, ok_body("x")), temperature=-0.1)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), 1e999])
+    def test_non_finite_temperature_rejected(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            self.client(lambda *args: (200, ok_body("x")), temperature=temperature)
+
     def test_two_failures_then_success(self):
         calls = {"n": 0}
 
@@ -201,7 +206,7 @@ class TestHttpClient:
             calls["n"] += 1
             return 429, "slow down"
 
-        with pytest.raises(RateLimited):
+        with pytest.raises(TransportError, match=r"rate limited \(attempt 2\)"):
             self.client(throttled, max_retries=2).complete(
                 ChatRequest(prompt="q", tag="p_t")
             )

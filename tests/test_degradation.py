@@ -10,7 +10,7 @@ import pytest
 from conftest import make_corpus
 from fake_llm import FakeLlm, update_response
 
-from cama.errors import TransportError
+from cama.errors import ReplyError, TransportError
 from cama.graph import Mcg
 from cama.learning import (
     AlignmentHistory,
@@ -148,3 +148,12 @@ def test_failed_step_degrades_to_its_fallback(tag, how, warnings_logged):
     finally:
         gc.enable()
     assert warnings_logged == [warning]
+
+
+def test_unknown_dedup_target_is_a_reply_error(caplog):
+    with caplog.at_level(logging.WARNING, logger="cama.learning"):
+        assert dedup_identity(FailOnce("p_r", UNKNOWN_TARGET)) == STEPS["p_r"][1]
+    [record] = caplog.records
+    [error] = record.args
+    assert isinstance(error, ReplyError)
+    assert str(error) == "replacement target 'made up' is not an extracted point"

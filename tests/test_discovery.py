@@ -220,7 +220,7 @@ class TestMeekClosure:
     def test_fixed_point(self):
         for seed in range(10):
             dag = random_true_dag(6, 0.4, seed=seed)
-            g = cpdag_from_ci(6, dsep_independence(dag))
+            g = cpdag_from_ci(6, dsep_independence(dag), pts(6))
             once = meek_closure(g)
             twice = meek_closure(once)
             assert graphs_equal(once, twice)
@@ -235,7 +235,7 @@ class TestDiscoverCpdag:
 
     def test_oracle_chain_undirected(self):
         dag = chain_dag()
-        g = cpdag_from_ci(3, dsep_independence(dag))
+        g = cpdag_from_ci(3, dsep_independence(dag), pts(3))
         assert g.directed == frozenset()
         assert g.undirected == {(0, 1), (1, 2)}
 

@@ -7,7 +7,7 @@ from conftest import make_corpus
 from fake_llm import FakeLlm, parse_marked_kps, update_response
 
 from cama.client import ChatRequest
-from cama.errors import EmptyDataset, TransportError, UnknownKey
+from cama.errors import EmptyDataset, TransportError
 from cama.graph import Mcg, extract_subgraph, graphs_equal, topological_order, verbalize
 from cama.learning import (
     AlignmentConfig,
@@ -226,7 +226,7 @@ class TestBuildIncidenceMatrix:
 
     def test_unknown_key_raises(self):
         records = [ExtractionRecord("q01", (kp("mystery"),))]
-        with pytest.raises(UnknownKey):
+        with pytest.raises(ValueError, match="'mystery', which is neither canonical nor replaced"):
             build_incidence_matrix(records, [kp("area")], ReplacementMap())
 
     def test_column_sums_match_bruteforce_recount(self):
@@ -530,7 +530,7 @@ class TestAlignmentHistoryRing:
         h = AlignmentHistory(7)
         for i in range(10):
             h.push(Mcg(nodes=()), i / 10)
-        assert len(h) == 7
+        assert len(h.entries) == 7
         assert h.entries[0][1] == pytest.approx(0.3)
 
     def test_entries_hold_relations_text(self):
@@ -545,7 +545,7 @@ class TestAlignmentHistoryRing:
     def test_zero_capacity(self):
         h = AlignmentHistory(0)
         h.push(Mcg(nodes=()), 0.5)
-        assert len(h) == 0
+        assert len(h.entries) == 0
 
     def test_bad_precision_rejected(self):
         with pytest.raises(ValueError):

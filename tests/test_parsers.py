@@ -1,18 +1,11 @@
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cama.errors import (
-    CamaError,
-    CyclicReplacement,
-    MalformedDedup,
-    MissingAnchor,
-    MissingAnswerTag,
-    NoEditsFound,
-    NoPointsFound,
-)
+from cama.errors import ReplyError
 from cama.parsers import (
     RelationEdit,
     parse_answer,
@@ -34,7 +27,7 @@ class TestParseAnswer:
         assert parse_answer("<answer>42</answer>").answer == "42"
 
     def test_no_tags(self):
-        with pytest.raises(MissingAnswerTag):
+        with pytest.raises(ReplyError):
             parse_answer("just text, no tags")
 
     def test_final_occurrence_wins(self):
@@ -54,7 +47,7 @@ class TestParseAnswer:
         assert parse_answer(raw).answer == "final"
 
     def test_empty_block_rejected(self):
-        with pytest.raises(MissingAnswerTag):
+        with pytest.raises(ReplyError):
             parse_answer("<answer>   </answer>")
 
     def test_decimal_answer_keeps_point(self):
@@ -69,7 +62,7 @@ class TestParseAnswer:
         try:
             parsed = parse_answer(raw)
             assert parsed.answer
-        except MissingAnswerTag:
+        except ReplyError:
             pass
 
 
@@ -93,7 +86,7 @@ class TestParseExtractedPoints:
         assert [p.key for p in points] == ["point 0", "point 1", "point 2"]
 
     def test_empty_body(self):
-        with pytest.raises(NoPointsFound):
+        with pytest.raises(ReplyError):
             parse_extracted_points("nothing to see", 3)
 
     def test_scans_after_last_part3_marker(self):
@@ -117,7 +110,7 @@ class TestParseExtractedPoints:
         try:
             result = parse_extracted_points(raw, lam)
             assert 1 <= len(result.points) <= lam
-        except NoPointsFound:
+        except ReplyError:
             pass
 
 
@@ -136,7 +129,7 @@ class TestParseDedup:
             "<answer>**Removed Knowledge Points:**\n[**A**, **B**]\n\n"
             "**Replacement Details:**\n[**B** can replace **A**]</answer>"
         )
-        with pytest.raises(MalformedDedup):
+        with pytest.raises(ReplyError):
             parse_dedup(raw)
 
     def test_empty_removed_list(self):
@@ -163,7 +156,7 @@ class TestParseDedup:
             "**Replacement Details:**\n"
             "[**B** can replace **A**,\n **A** can replace **B**]</answer>"
         )
-        with pytest.raises(CyclicReplacement):
+        with pytest.raises(ReplyError):
             parse_dedup(raw)
 
     def test_removed_without_replacement_rejected(self):
@@ -171,11 +164,11 @@ class TestParseDedup:
             "<answer>**Removed Knowledge Points:**\n[**A**]\n\n"
             "**Replacement Details:**\n[]</answer>"
         )
-        with pytest.raises(MalformedDedup):
+        with pytest.raises(ReplyError):
             parse_dedup(raw)
 
     def test_missing_section_rejected(self):
-        with pytest.raises(MalformedDedup):
+        with pytest.raises(ReplyError):
             parse_dedup("<answer>nothing structured</answer>")
 
     @settings(max_examples=150)
@@ -183,7 +176,7 @@ class TestParseDedup:
     def test_total(self, raw):
         try:
             parse_dedup(raw)
-        except (MalformedDedup, CyclicReplacement):
+        except ReplyError:
             pass
 
 
@@ -202,7 +195,7 @@ class TestParseChosenFactors:
         assert any("out-of-range" in rec.message for rec in caplog.records)
 
     def test_missing_anchor(self):
-        with pytest.raises(MissingAnchor):
+        with pytest.raises(ReplyError):
             parse_chosen_factors("factors: [1, 2]", 5)
 
     def test_duplicates_collapse(self):
@@ -221,7 +214,7 @@ class TestParseChosenFactors:
         try:
             chosen = parse_chosen_factors(raw, max_index)
             assert all(0 <= i < max_index for i in chosen)
-        except MissingAnchor:
+        except ReplyError:
             pass
 
 
@@ -253,7 +246,7 @@ class TestParseRelationEdits:
         ]
 
     def test_empty_block(self):
-        with pytest.raises(NoEditsFound):
+        with pytest.raises(ReplyError):
             parse_relation_edits("<answer>[]</answer>")
 
     def test_keys_normalized(self):
@@ -268,7 +261,7 @@ class TestParseRelationEdits:
     def test_total(self, raw):
         try:
             parse_relation_edits(raw)
-        except NoEditsFound:
+        except ReplyError:
             pass
 
 
@@ -324,6 +317,59 @@ class TestRenderEchoRoundTrip:
         assert result.replacements.pairs == pairs
 
 
+def dedup_reply(removed: str, replacements: str) -> str:
+    return (
+        f"<answer>**Removed Knowledge Points:**\n[{removed}]\n\n"
+        f"**Replacement Details:**\n[{replacements}]</answer>"
+    )
+
+
+# one row per ReplyError raise site in cama.parsers, with its message
+REPLY_FAILURES = [
+    (parse_answer, "no tags at all", "response contains no <answer> block"),
+    (parse_answer, "<answer> . </answer>", "answer block is empty"),
+    (
+        lambda raw: parse_extracted_points(raw, 3),
+        "Part 3: Final Output.\nnone",
+        "no knowledge-point lines found in response",
+    ),
+    (parse_dedup, "<answer>[**A**]</answer>", "missing 'Removed Knowledge Points' section"),
+    (
+        parse_dedup,
+        dedup_reply("**A**", "**B** can replace **A**, **C** can replace **A**"),
+        "'a' has conflicting replacements ('b' vs 'c')",
+    ),
+    (
+        parse_dedup,
+        dedup_reply("**A**", "**B** can replace **A**, **C** can replace **D**"),
+        "replacement given for 'd', which is not in the removed list",
+    ),
+    (parse_dedup, dedup_reply("**A**", ""), "removed point 'a' has no replacement"),
+    (
+        parse_dedup,
+        dedup_reply("**A**, **B**", "**B** can replace **A**, **A** can replace **B**"),
+        "replacement cycle through 'a'",
+    ),
+    (
+        parse_dedup,
+        dedup_reply("**A**, **B**", "**B** can replace **A**"),
+        "removed point 'b' (reached from 'a') has no replacement",
+    ),
+    (
+        lambda raw: parse_chosen_factors(raw, 5),
+        "factors: [1]",
+        "response lacks the chosen-factors anchor phrase",
+    ),
+    (parse_relation_edits, "<answer> [ ] </answer>", "relation-edit answer block is empty"),
+]
+
+
+@pytest.mark.parametrize("parse, raw, message", REPLY_FAILURES)
+def test_reply_failures_raise_reply_error(parse, raw, message):
+    with pytest.raises(ReplyError, match=f"^{re.escape(message)}$"):
+        parse(raw)
+
+
 @settings(max_examples=100)
 @given(st.binary(max_size=300))
 def test_parsers_survive_arbitrary_bytes(data):
@@ -337,5 +383,5 @@ def test_parsers_survive_arbitrary_bytes(data):
     ):
         try:
             fn()
-        except CamaError:
+        except ReplyError:
             pass

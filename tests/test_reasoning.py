@@ -90,7 +90,7 @@ class TestAnswerQuestion:
 
         outcome = answer_question(guided_graph(), self.record(), NoAnswer())
         assert outcome.failed and not outcome.correct
-        assert "MissingAnswerTag" in outcome.failure
+        assert outcome.failure.startswith("ReplyError: ")
         assert outcome.raw_answer == "I refuse to use tags."
 
     def test_transport_failure_marks_failed(self):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cama.errors import MissingBinding, UnknownTag
 from cama.templates import PLACEHOLDERS, TEMPLATE_TAGS, render_template
 
 
@@ -14,12 +13,11 @@ class TestRenderTemplate:
         assert "identify the key concepts or elements" in prompt
 
     def test_missing_binding(self):
-        with pytest.raises(MissingBinding) as err:
+        with pytest.raises(ValueError, match=r"missing binding for placeholder \{lambda\}"):
             render_template("p_p", {"question_solution_pairs": "..."})
-        assert err.value.name == "lambda"
 
     def test_unknown_tag(self):
-        with pytest.raises(UnknownTag):
+        with pytest.raises(ValueError, match="no template registered for tag 'p_z'"):
             render_template("p_z", {})
 
     def test_deterministic(self):
