@@ -17,7 +17,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
 
 from .errors import CamaError, ParseError, ScriptMismatch, TransportError
 from .model import json_line, read_json, read_text
@@ -27,7 +27,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TEMPERATURE = 0.6
 DEFAULT_MAX_RETRIES = 3
-DEFAULT_IN_FLIGHT_LIMIT = 4
+# at least alignment.s_b, so each answer step of an alignment round is one wave
+DEFAULT_IN_FLIGHT_LIMIT = 16
 
 R = TypeVar("R")
 
@@ -92,8 +93,7 @@ def ask(
 # --- transcript ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     tag: str
     prompt_sha256: str
     response: str
@@ -241,11 +241,13 @@ class HttpChatClient:
     def __post_init__(self):
         if not 0 <= self.temperature < math.inf:
             raise ValueError("temperature must be finite and >= 0")
+        if self.in_flight_limit < 1:
+            raise ValueError("in_flight_limit must be >= 1")
 
     def complete_all(self, requests: Sequence[ChatRequest]) -> list[str | CamaError]:
         if not requests:
             return []
-        workers = max(1, min(self.in_flight_limit, len(requests)))
+        workers = min(self.in_flight_limit, len(requests))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(functools.partial(_settle, self.complete), requests))
 

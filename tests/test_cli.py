@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import operator
+import re
 import tempfile
 from functools import cache, reduce
 from pathlib import Path
@@ -26,7 +27,7 @@ from cama.config import Config, build_client, load_config
 from cama.discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
 from cama.errors import ConfigError
 from cama.graph import Mcg, load_graph, save_graph
-from cama.learning import extract_all
+from cama.learning import AlignmentConfig, extract_all
 from cama.model import KnowledgePoint, QaRecord, save_qa_records
 from cama.reasoning import answer_question, evaluate
 
@@ -125,6 +126,23 @@ class TestConfig:
         assert load_config(None) == Config()
         assert (Config().alpha, Config().max_cond_size) == (DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE)
         assert Config().temperature == DEFAULT_TEMPERATURE
+
+    def test_readme_table_defaults_match_the_code(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = dict(re.findall(r"^\| `([\w.]+)` \| `(-?[\d.]+)` \|", readme, re.M))
+        assert set(rows) == {
+            "lambda", "alpha", "max_cond_size", "temperature", "in_flight_limit", "repetitions",
+            "seed", "alignment.s_b", "alignment.n_e", "alignment.r", "alignment.c_stop",
+        }
+        cfg, align = Config(), AlignmentConfig()
+
+        def default(key):
+            # `seed` is the alignment seed's default; Config has no field of its own
+            if key.startswith("alignment.") or key == "seed":
+                return getattr(align, key.removeprefix("alignment."))
+            return getattr(cfg, {"lambda": "granularity"}.get(key, key))
+
+        assert {key: float(cell) for key, cell in rows.items()} == {key: default(key) for key in rows}
 
     def test_renamed_keys_map_to_fields(self, tmp_path):
         cfg_file = tmp_path / "cama.conf"

@@ -11,12 +11,15 @@ from cama.client import (
     RecordingClient,
     ScriptedChatClient,
     TranscriptEntry,
+    ask,
     complete_all,
     load_transcript,
     prompt_sha256,
     transcript_line,
 )
+from cama.config import Config
 from cama.errors import ParseError, ScriptMismatch, TransportError
+from cama.learning import AlignmentConfig
 
 
 def ok_body(content: str) -> str:
@@ -173,6 +176,11 @@ class TestHttpClient:
         with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
             self.client(lambda *args: (200, ok_body("x")), temperature=temperature)
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_in_flight_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="in_flight_limit must be >= 1"):
+            self.client(lambda *args: (200, ok_body("x")), in_flight_limit=limit)
+
     def test_two_failures_then_success(self):
         calls = {"n": 0}
 
@@ -320,3 +328,19 @@ class TestCompleteAll:
         client, state = self.staggered()
         assert complete_all(client, []) == []
         assert state["peak"] == 0
+
+    def test_default_limit_sends_an_alignment_batch_in_one_wave(self):
+        """Each answer step of an alignment round asks s_b questions; with the
+        default limit they are all in flight together, so the step costs one
+        round trip. The barrier breaks if any of them waits for a free worker."""
+        s_b = AlignmentConfig().s_b
+        assert Config().in_flight_limit >= s_b
+        together = threading.Barrier(s_b, timeout=5)
+
+        def transport(url, headers, payload, timeout):
+            together.wait()
+            return 200, ok_body("done")
+
+        client = HttpChatClient(api_base="http://api.test", model="m", transport=transport)
+        bindings = [{"question": f"q{i}"} for i in range(s_b)]
+        assert ask(client, "p_t", bindings) == ["done"] * s_b
