@@ -200,7 +200,7 @@ def cmd_export_dot(graph_file, out):
 
 @main.command("synth")
 @click.argument("scenario_file", type=click.Path(exists=True))
-@click.option("--rows", type=int, default=5000, show_default=True,
+@click.option("--rows", type=click.IntRange(min=0), default=5000, show_default=True,
               help="Number of sampled rows.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out-dir", type=click.Path(), default=".", show_default=True)

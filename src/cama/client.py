@@ -243,6 +243,8 @@ class HttpChatClient:
             raise ValueError("temperature must be finite and >= 0")
         if self.in_flight_limit < 1:
             raise ValueError("in_flight_limit must be >= 1")
+        if self.max_retries < 1:
+            raise ValueError("max_retries must be >= 1")
 
     def complete_all(self, requests: Sequence[ChatRequest]) -> list[str | CamaError]:
         if not requests:
@@ -261,9 +263,8 @@ class HttpChatClient:
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": self.temperature,
         }
-        attempts = max(1, self.max_retries)
         last_error: Exception | None = None
-        for attempt in range(attempts):
+        for attempt in range(self.max_retries):
             if attempt:
                 delay = (2 ** (attempt - 1)) * (1.0 + self._jitter.random() * 0.25)
                 self.sleeper(delay)
@@ -271,15 +272,17 @@ class HttpChatClient:
                 status, body = self.transport(url, headers, payload, self.timeout)
             except TransportError as e:
                 last_error = e
-                logger.warning("attempt %d/%d failed: %s", attempt + 1, attempts, e)
+                logger.warning("attempt %d/%d failed: %s", attempt + 1, self.max_retries, e)
                 continue
             if status == 429:
                 last_error = TransportError(f"rate limited (attempt {attempt + 1})")
-                logger.warning("attempt %d/%d rate limited", attempt + 1, attempts)
+                logger.warning("attempt %d/%d rate limited", attempt + 1, self.max_retries)
                 continue
             if status >= 500:
                 last_error = TransportError(f"server error {status}")
-                logger.warning("attempt %d/%d got status %d", attempt + 1, attempts, status)
+                logger.warning(
+                    "attempt %d/%d got status %d", attempt + 1, self.max_retries, status
+                )
                 continue
             if status != 200:
                 raise TransportError(f"endpoint returned status {status}: {body[:200]}")

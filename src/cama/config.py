@@ -79,7 +79,8 @@ _SCALAR_KEYS = {
 }
 # a line up to its comment: a # inside a double-quoted value is kept
 _CONTENT = re.compile(r'(?:[^#"]|"[^"]*"?)*')
-_ALIGN_KEYS = {"m": int, "s_b": int, "n_e": int, "r": int, "c_stop": int, "seed": int}
+# the alignment seed's one key is ``seed``, so a --seed flag always beats the file
+_ALIGN_KEYS = {"m": int, "s_b": int, "n_e": int, "r": int, "c_stop": int}
 # file keys whose Config field has another name; every other key is its field
 _FIELD_OF_KEY = {
     "lambda": "granularity",
@@ -146,10 +147,8 @@ def load_config(path: str | Path | None = None, **overrides) -> Config:
             values[key] = value
 
     align_values = values.pop("alignment", {})
-    if not isinstance(align_values, dict):
-        raise ConfigError("alignment override must be a mapping")
     if "seed" in values:
-        align_values.setdefault("seed", values.pop("seed"))
+        align_values["seed"] = values.pop("seed")
     try:
         alignment = AlignmentConfig(**align_values)
     except (TypeError, ValueError) as e:

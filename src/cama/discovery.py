@@ -337,7 +337,9 @@ def _first_independent(
     return found
 
 
-def skeleton_from_ci(k: int, decide: BatchTest, max_cond_size: int | None = None) -> Skeleton:
+def skeleton_from_ci(
+    k: int, decide: BatchTest, max_cond_size: int = DEFAULT_MAX_COND_SIZE
+) -> Skeleton:
     """Level-synchronized PC skeleton phase over an arbitrary CI decision.
 
     For growing conditioning size l, every still-adjacent pair (u, v) is
@@ -354,9 +356,9 @@ def skeleton_from_ci(k: int, decide: BatchTest, max_cond_size: int | None = None
     candidates a one-at-a-time search would ask, in the same order, so the
     test count of every level and the sepsets are the same.
     """
-    if max_cond_size is not None and max_cond_size < 0:
+    if max_cond_size < 0:
         raise ValueError("max_cond_size must be >= 0")
-    cap = min(k - 2, DEFAULT_MAX_COND_SIZE if max_cond_size is None else max_cond_size)
+    cap = min(k - 2, max_cond_size)
     adj = {i: set(range(k)) - {i} for i in range(k)}
     sepsets: dict[tuple[int, int], frozenset[int]] = {}
 
@@ -493,7 +495,7 @@ def cpdag_from_ci(
     k: int,
     decide: BatchTest,
     points: Sequence[KnowledgePoint],
-    max_cond_size: int | None = None,
+    max_cond_size: int = DEFAULT_MAX_COND_SIZE,
 ) -> Mcg:
     """Full PC pipeline (skeleton, colliders, closure) over a batch CI
     decision, as ``skeleton_from_ci`` takes it."""
@@ -504,7 +506,7 @@ def cpdag_from_ci(
 def discover_cpdag(
     z: IncidenceMatrix,
     alpha: float = DEFAULT_ALPHA,
-    max_cond_size: int | None = None,
+    max_cond_size: int = DEFAULT_MAX_COND_SIZE,
 ) -> Mcg:
     """Infer the CPDAG of the incidence matrix with the G-squared test. The
     columns are packed into bit words once, and each wave of the skeleton

@@ -11,19 +11,19 @@ from __future__ import annotations
 import dataclasses
 import logging
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .client import ChatClient, ask
-from .discovery import DEFAULT_ALPHA, discover_cpdag
+from .discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE, discover_cpdag
 from .errors import CamaError, EmptyDataset, ReplyError
 from .graph import GraphBuilder, Mcg, graphs_equal, save_graph, verbalize
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint, QaRecord, ReplacementMap, json_line, write_json
 from .parsers import (
-    DedupResult,
     RelationEdit,
     parse_answer,
     parse_dedup,
@@ -65,35 +65,6 @@ class AlignmentConfig:
             raise ValueError("early-stop threshold c_stop must be >= 1")
         if self.m is not None and self.m < self.s_b:
             raise ValueError("alignment subset size m must be >= s_b")
-
-
-class AlignmentHistory:
-    """Ring of the most recent (relations text, precision) pairs, capped at r.
-
-    A pushed graph's relations text is its cached verbalization, which the
-    round that answered with the graph has already built; the ``p_u``
-    prompt of every later round reuses the stored text.
-    """
-
-    def __init__(self, r: int):
-        self.r = r
-        self.entries: list[tuple[str, float]] = []
-
-    def push(self, graph: Mcg, precision: float) -> None:
-        if not 0.0 <= precision <= 1.0:
-            raise ValueError("precision must lie in [0, 1]")
-        self.entries.append((verbalize(graph).relations_text() or "(none)", precision))
-        if len(self.entries) > self.r:
-            del self.entries[: len(self.entries) - self.r]
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    graph: Mcg
-    precision: float
-    edits_applied: int = 0
-    edits_rejected: int = 0
-    edits_skipped: int = 0
 
 
 @dataclass
@@ -163,7 +134,7 @@ def extract_all(
         {"question_solution_pairs": _format_qa_pair(rec), "lambda": str(granularity)}
         for rec in qs
     ]
-    parse = lambda reply: parse_extracted_points(reply, granularity).points
+    parse = lambda reply: parse_extracted_points(reply, granularity)
     records: list[ExtractionRecord] = []
     for rec, points in zip(qs, ask(gateway, "p_p", bindings, parse)):
         if isinstance(points, CamaError):
@@ -195,24 +166,22 @@ def deduplicate(
         return [], ReplacementMap()
     pool_keys = {p.key for p in pool}
 
-    def parse(reply: str) -> DedupResult:
-        result = parse_dedup(reply)
-        for gone, survivor in result.replacements.pairs.items():
+    def parse(reply: str) -> ReplacementMap:
+        replacements = parse_dedup(reply)
+        for gone, survivor in replacements.pairs.items():
             if survivor not in pool_keys:
                 raise ReplyError(f"replacement target {survivor!r} is not an extracted point")
             if gone not in pool_keys:
                 logger.warning("ignoring removal of unknown point %r", gone)
-        return result
+        return replacements
 
     listing = "\n".join(f"- **{p.key}**: {p.description}" for p in pool)
     [result] = ask(gateway, "p_r", [{"list_all_knowledge_points": listing}], parse)
     if isinstance(result, CamaError):
         logger.warning("deduplication degraded to identity: %s", result)
         return pool, ReplacementMap()
-    removed = {k for k in result.removed if k in pool_keys}
-    canonical = [p for p in pool if p.key not in removed]
-    pairs = {k: v for k, v in result.replacements.pairs.items() if k in pool_keys}
-    return canonical, ReplacementMap(pairs=pairs)
+    pairs = {k: v for k, v in result.pairs.items() if k in pool_keys}
+    return [p for p in pool if p.key not in pairs], ReplacementMap(pairs=pairs)
 
 
 def build_incidence_matrix(
@@ -259,10 +228,9 @@ def _format_feedback_entries(answered: list[tuple[QaRecord, ReasoningOutcome]]) 
     )
 
 
-def _format_history(history: AlignmentHistory) -> str:
+def _format_history(history: deque[tuple[str, float]]) -> str:
     return "\n\n".join(
-        f"## Round precision {precision:.3f}\n{relations}"
-        for relations, precision in history.entries
+        f"## Round precision {precision:.3f}\n{relations}" for relations, precision in history
     )
 
 
@@ -306,13 +274,15 @@ def apply_relation_edits(
 def run_alignment_round(
     g: Mcg,
     batch: list[QaRecord],
-    history: AlignmentHistory,
+    history: deque[tuple[str, float]],
     gateway: ChatClient,
-) -> RoundResult:
+) -> tuple[Mcg, dict]:
     """Answer one batch with the current graph and apply the model's edits.
 
-    Returns the (possibly) updated graph and the batch precision measured
-    with the input graph. A failed update call leaves the graph unchanged.
+    ``history`` holds (relations text, precision) of earlier rounds, oldest
+    first. Returns the (possibly) updated graph and the round's report
+    fields: the batch precision measured with the input graph and the edit
+    counts. A failed update call returns ``g`` itself with zero counts.
     """
     if not batch:
         raise ValueError("alignment batch is empty")
@@ -332,18 +302,17 @@ def run_alignment_round(
         "qa_incorrect_answer": incorrect_text,
     }
     [edits] = ask(gateway, "p_u", [bindings], parse_relation_edits)
+    applied = rejected = skipped = 0
     if isinstance(edits, CamaError):
         logger.warning("update call failed, keeping graph unchanged: %s", edits)
-        return RoundResult(graph=g, precision=precision)
-
-    new_graph, applied, rejected, skipped = apply_relation_edits(g, edits)
-    return RoundResult(
-        graph=new_graph,
-        precision=precision,
-        edits_applied=applied,
-        edits_rejected=rejected,
-        edits_skipped=skipped,
-    )
+    else:
+        g, applied, rejected, skipped = apply_relation_edits(g, edits)
+    return g, {
+        "precision": precision,
+        "edits_applied": applied,
+        "edits_rejected": rejected,
+        "edits_skipped": skipped,
+    }
 
 
 def _subset_precision(g: Mcg, subset: list[QaRecord], gateway: ChatClient) -> float:
@@ -359,11 +328,12 @@ def align(
 ) -> tuple[Mcg, AlignmentReport]:
     """Batch-iterate graph updates and return the best epoch graph.
 
-    The alignment subset is sampled once. Every round pushes the
-    pre-update graph and its batch precision onto the history ring. The
-    whole optimization stops early once the graph survives c_stop
-    consecutive rounds unchanged; each epoch ends with a full-subset
-    evaluation and the argmax epoch graph (earliest on ties) wins.
+    The alignment subset is sampled once. Every round appends the
+    pre-update graph's relations text and its batch precision to the
+    history, which keeps the last r rounds. The whole optimization stops
+    early once the graph survives c_stop consecutive rounds unchanged; each
+    epoch ends with a full-subset evaluation and the argmax epoch graph
+    (earliest on ties) wins.
     """
     if not dataset:
         raise EmptyDataset("alignment requires a non-empty dataset")
@@ -377,7 +347,7 @@ def align(
 
     g = g0
     best, best_precision, best_epoch = g0, 0.0, None
-    history = AlignmentHistory(cfg.r)
+    history: deque[tuple[str, float]] = deque(maxlen=cfg.r)
     unchanged_streak = 0
     round_index = 0
     stopped_early = False
@@ -388,22 +358,13 @@ def align(
         for start in range(0, len(order), cfg.s_b):
             batch = order[start : start + cfg.s_b]
             round_index += 1
-            result = run_alignment_round(g, batch, history, gateway)
-            history.push(g, result.precision)
-            changed = not graphs_equal(result.graph, g)
+            new_g, row = run_alignment_round(g, batch, history, gateway)
+            # the round answered with g, so its verbalization is cached
+            history.append((verbalize(g).relations_text() or "(none)", row["precision"]))
+            changed = not graphs_equal(new_g, g)
             unchanged_streak = 0 if changed else unchanged_streak + 1
-            g = result.graph
-            report.rounds.append(
-                {
-                    "round": round_index,
-                    "epoch": epoch,
-                    "precision": result.precision,
-                    "edits_applied": result.edits_applied,
-                    "edits_rejected": result.edits_rejected,
-                    "edits_skipped": result.edits_skipped,
-                    "changed": changed,
-                }
-            )
+            g = new_g
+            report.rounds.append({"round": round_index, "epoch": epoch, **row, "changed": changed})
             if unchanged_streak >= cfg.c_stop:
                 stopped_early = True
                 break
@@ -431,13 +392,12 @@ def run_learn_pipeline(
     *,
     granularity: int = DEFAULT_GRANULARITY,
     alpha: float = DEFAULT_ALPHA,
-    max_cond_size: int | None = None,
-    align_cfg: AlignmentConfig | None = None,
+    max_cond_size: int = DEFAULT_MAX_COND_SIZE,
+    align_cfg: AlignmentConfig = AlignmentConfig(),
 ) -> tuple[Mcg, Mcg, AlignmentReport]:
     """Extraction through alignment, persisting every intermediate artifact."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    align_cfg = align_cfg or AlignmentConfig()
 
     records = extract_all(dataset, granularity, gateway)
     with (run_dir / "extraction.jsonl").open("w", encoding="utf-8") as fh:

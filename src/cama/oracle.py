@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .discovery import BatchTest, _assemble, cpdag_from_ci, meek_closure
+from .discovery import DEFAULT_MAX_COND_SIZE, BatchTest, _assemble, cpdag_from_ci, meek_closure
 from .errors import ParseError
 from .graph import Mcg, topological_order
 from .matrix import IncidenceMatrix
@@ -119,7 +119,7 @@ def dsep_independence(dag: TrueDag) -> BatchTest:
     return decide
 
 
-def oracle_cpdag(dag: TrueDag, max_cond_size: int | None = None) -> Mcg:
+def oracle_cpdag(dag: TrueDag, max_cond_size: int = DEFAULT_MAX_COND_SIZE) -> Mcg:
     """Run the PC search with the exact d-separation oracle as its CI test.
 
     A second, search-independent route to the same object is true_cpdag;

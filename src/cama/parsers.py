@@ -48,17 +48,6 @@ class ParsedAnswer:
 
 
 @dataclass(frozen=True)
-class ExtractedPoints:
-    points: tuple[KnowledgePoint, ...]
-
-
-@dataclass(frozen=True)
-class DedupResult:
-    removed: tuple[str, ...]
-    replacements: ReplacementMap
-
-
-@dataclass(frozen=True)
 class RelationEdit:
     a: str
     kind: RelationKind
@@ -102,7 +91,7 @@ def parse_answer(raw: str) -> ParsedAnswer:
     return ParsedAnswer(answer=answer, think=think)
 
 
-def parse_extracted_points(raw: str, granularity: int) -> ExtractedPoints:
+def parse_extracted_points(raw: str, granularity: int) -> tuple[KnowledgePoint, ...]:
     """Collect up to ``granularity`` knowledge-point lines from a response.
 
     Only the final-output part is scanned when a Part 3 marker is present.
@@ -133,14 +122,15 @@ def parse_extracted_points(raw: str, granularity: int) -> ExtractedPoints:
             break
     if not points:
         raise ReplyError("no knowledge-point lines found in response")
-    return ExtractedPoints(points=tuple(points))
+    return tuple(points)
 
 
-def parse_dedup(raw: str) -> DedupResult:
+def parse_dedup(raw: str) -> ReplacementMap:
     """Parse removed points and replacement statements from a dedup response.
 
     Replacement chains are collapsed transitively, cycles are rejected,
-    and every removed point must resolve to a surviving replacement.
+    and every removed point must resolve to a surviving replacement, so
+    the map's keys are the removed points in the order listed.
     """
     blocks = _ANSWER_BLOCK.findall(raw)
     body = blocks[-1] if blocks else raw
@@ -196,8 +186,7 @@ def parse_dedup(raw: str) -> DedupResult:
         resolved[start] = target
 
     # every target survives and differs from its removed key, so the map is valid
-    replacements = ReplacementMap(pairs=resolved)
-    return DedupResult(removed=tuple(removed), replacements=replacements)
+    return ReplacementMap(pairs=resolved)
 
 
 def parse_chosen_factors(raw: str, max_index: int) -> set[int]:

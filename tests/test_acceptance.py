@@ -7,6 +7,7 @@ to see the lines for passing criteria too).
 import json
 import random
 import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from cama.discovery import discover_cpdag, g_squared_ci_test, meek_closure
 from cama.graph import Mcg, graphs_equal, topological_order
 from cama.learning import (
     AlignmentConfig,
-    AlignmentHistory,
     align,
     run_alignment_round,
     run_learn_pipeline,
@@ -283,10 +283,7 @@ def test_criterion_6_alignment_mechanics():
         and best.directed == {(0, 1)}
     )
 
-    # (c) history ring never exceeds r = 7 entries
-    ring = AlignmentHistory(7)
-    for i in range(12):
-        ring.push(g0, i / 12)
+    # (c) the update prompt's history never exceeds r = 7 entries
     edits = []
     for i in range(20):
         kind = "prerequisite" if i % 2 == 0 else "independent"
@@ -299,7 +296,7 @@ def test_criterion_6_alignment_mechanics():
         spy,
     )
     history_blocks = [p.count("## Round precision") for p in spy.prompts("p_u")]
-    history_ok = len(ring.entries) == 7 and max(history_blocks) == 7
+    history_ok = max(history_blocks) == 7
 
     report(
         6,
@@ -341,11 +338,9 @@ def test_criterion_7_cycle_safety_fuzz():
     record = QaRecord(id="fz", question="fuzz probe", answer="0")
     edits_per_round, rounds = 25, 400
     llm = _FuzzLlm(keys, seed=1234, edits_per_round=edits_per_round)
-    history = AlignmentHistory(0)
     applied = 0
     for _ in range(rounds):
-        result = run_alignment_round(g, [record], history, llm)
-        g = result.graph
+        g = run_alignment_round(g, [record], deque(), llm)[0]
         applied += edits_per_round
         assert topological_order(g.k, g.directed) is not None
     report(

@@ -452,15 +452,19 @@ def sparse_dag(k: int, seed: int) -> TrueDag:
 
 
 def assert_cpdag_bytes_match(z, max_cond_size=None):
-    """discover_cpdag equals cpdag_from_ci over the one-at-a-time stratum loop."""
+    """discover_cpdag equals cpdag_from_ci over the one-at-a-time stratum loop.
+
+    ``max_cond_size=None`` passes no cap, so both run at their default.
+    """
+    cap = {} if max_cond_size is None else {"max_cond_size": max_cond_size}
     points = tuple(KnowledgePoint(key=key) for key in z.col_keys)
     reference = cpdag_from_ci(
         z.cols,
         one_at_a_time(lambda u, v, s: g2_stratum_loop(z, u, v, s, 0.05).independent),
         points,
-        max_cond_size=max_cond_size,
+        **cap,
     )
-    got = discover_cpdag(z, max_cond_size=max_cond_size)
+    got = discover_cpdag(z, **cap)
     assert serialize_graph(got) == serialize_graph(reference), max_cond_size
 
 

@@ -23,7 +23,14 @@ from cama.client import (
     HttpChatClient,
     RecordingClient,
 )
-from cama.config import Config, build_client, load_config
+from cama.config import (
+    _ALIGN_KEYS,
+    _SCALAR_KEYS,
+    Config,
+    build_client,
+    load_config,
+    parse_config_text,
+)
 from cama.discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
 from cama.errors import ConfigError
 from cama.graph import Mcg, load_graph, save_graph
@@ -105,6 +112,18 @@ class TestConfig:
         cfg = load_config(None, seed=99)
         assert cfg.alignment.seed == 99
 
+    def test_seed_flag_beats_file(self, tmp_path):
+        cfg_file = tmp_path / "cama.conf"
+        cfg_file.write_text("seed = 3\n")
+        assert load_config(cfg_file).alignment.seed == 3
+        assert load_config(cfg_file, seed=5).alignment.seed == 5
+
+    def test_alignment_seed_key_rejected(self, tmp_path):
+        cfg_file = tmp_path / "cama.conf"
+        cfg_file.write_text("alignment.seed = 3\n")
+        with pytest.raises(ConfigError, match="unknown config key 'alignment.seed'"):
+            load_config(cfg_file, seed=5)
+
     def test_missing_credential_names_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAMA_API_BASE", "http://api.example")
         monkeypatch.setenv("CAMA_MODEL", "m1")
@@ -143,6 +162,15 @@ class TestConfig:
             return getattr(cfg, {"lambda": "granularity"}.get(key, key))
 
         assert {key: float(cell) for key, cell in rows.items()} == {key: default(key) for key in rows}
+
+    def test_readme_table_keys_are_the_parsers_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| Key | Default | Flag | Meaning |")[1].split("\n\n")[0]
+        keys = re.findall(r"^\| `([\w.]+)` \|", table, re.M)
+        accepted = set(_SCALAR_KEYS) | {f"alignment.{key}" for key in _ALIGN_KEYS}
+        assert sorted(keys) == sorted(accepted)
+        for key in keys:
+            parse_config_text(f"{key} = 1\n")
 
     def test_renamed_keys_map_to_fields(self, tmp_path):
         cfg_file = tmp_path / "cama.conf"
@@ -263,6 +291,16 @@ class TestDiscoverCommand:
         assert result.exit_code == 1
         error = json.loads(result.output.strip().splitlines()[-1])
         assert error["error"] == "ParseError"
+
+    def test_negative_rows_is_a_usage_error(self, runner, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(FORK_SCENARIO))
+        result = runner.invoke(
+            main, ["synth", str(scenario), "--rows", "-5", "--out-dir", str(tmp_path)]
+        )
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "Invalid value for '--rows'" in result.output
 
     @pytest.mark.parametrize(
         "scenario_doc",

@@ -181,6 +181,11 @@ class TestHttpClient:
         with pytest.raises(ValueError, match="in_flight_limit must be >= 1"):
             self.client(lambda *args: (200, ok_body("x")), in_flight_limit=limit)
 
+    @pytest.mark.parametrize("attempts", [0, -3])
+    def test_max_retries_below_one_rejected(self, attempts):
+        with pytest.raises(ValueError, match="max_retries must be >= 1"):
+            self.client(lambda *args: (200, ok_body("x")), max_retries=attempts)
+
     def test_two_failures_then_success(self):
         calls = {"n": 0}
 

@@ -4,6 +4,7 @@ no reference cycle."""
 
 import gc
 import logging
+from collections import deque
 
 import pytest
 
@@ -13,7 +14,6 @@ from fake_llm import FakeLlm, update_response
 from cama.errors import ReplyError, TransportError
 from cama.graph import Mcg
 from cama.learning import (
-    AlignmentHistory,
     ExtractionRecord,
     build_dataset,
     deduplicate,
@@ -79,8 +79,8 @@ def dedup_identity(client):
 
 def keep_graph(client):
     g = graph()
-    result = run_alignment_round(g, corpus(), AlignmentHistory(3), client)
-    return result.graph is g, result.edits_applied
+    new_g, row = run_alignment_round(g, corpus(), deque(), client)
+    return new_g is g, row["edits_applied"]
 
 
 def fail_question(client):

@@ -1,4 +1,6 @@
 import logging
+import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from cama.errors import EmptyDataset, TransportError
 from cama.graph import Mcg, extract_subgraph, graphs_equal, topological_order, verbalize
 from cama.learning import (
     AlignmentConfig,
-    AlignmentHistory,
     ExtractionRecord,
     align,
     apply_relation_edits,
@@ -325,9 +326,9 @@ class _FailOnUpdate:
 class TestRunAlignmentRound:
     def test_all_correct_noop_update(self, small_corpus, fake_llm):
         g = alignment_graph()
-        result = run_alignment_round(g, small_corpus, AlignmentHistory(7), fake_llm)
-        assert result.precision == 1.0
-        assert graphs_equal(result.graph, g)
+        new_g, row = run_alignment_round(g, small_corpus, deque(), fake_llm)
+        assert row["precision"] == 1.0
+        assert graphs_equal(new_g, g)
         correct_section, incorrect_section = fake_llm.prompts("p_u")[0].split(
             "Incorrectly Answered Questions"
         )
@@ -337,7 +338,7 @@ class TestRunAlignmentRound:
     def test_feedback_carries_answer_prompt_subgraph(self, small_corpus):
         llm = FakeLlm(wrong_ids={"q02"})
         g = Mcg(nodes=alignment_graph().nodes, directed={(0, 1)}, undirected={(1, 2)})
-        run_alignment_round(g, small_corpus, AlignmentHistory(7), llm)
+        run_alignment_round(g, small_corpus, deque(), llm)
         update_prompt = llm.prompts("p_u")[0]
         for record, answer_prompt in zip(small_corpus, llm.prompts("p_a")):
             kps = parse_marked_kps(record.question)
@@ -357,11 +358,9 @@ class TestRunAlignmentRound:
                 update_response("**alpha** is prerequisite of **beta**.")
             ]
         )
-        result = run_alignment_round(
-            alignment_graph(), small_corpus, AlignmentHistory(7), llm
-        )
-        assert result.graph.directed == {(0, 1)}
-        assert result.edits_applied == 1
+        new_g, row = run_alignment_round(alignment_graph(), small_corpus, deque(), llm)
+        assert new_g.directed == {(0, 1)}
+        assert row["edits_applied"] == 1
 
     def test_cycle_edit_rejected_with_warning(self, small_corpus, caplog):
         g = Mcg(nodes=alignment_graph().nodes, directed={(0, 1), (1, 2)})
@@ -373,21 +372,23 @@ class TestRunAlignmentRound:
         import logging
 
         with caplog.at_level(logging.WARNING, logger="cama.learning"):
-            result = run_alignment_round(g, small_corpus, AlignmentHistory(7), llm)
-        assert graphs_equal(result.graph, g)
-        assert result.edits_rejected == 1
+            new_g, row = run_alignment_round(g, small_corpus, deque(), llm)
+        assert graphs_equal(new_g, g)
+        assert row["edits_rejected"] == 1
         assert any("cycle" in rec.message for rec in caplog.records)
 
     def test_update_failure_returns_unchanged(self, small_corpus, fake_llm):
         g = alignment_graph()
         gateway = _FailOnUpdate(fake_llm)
-        result = run_alignment_round(g, small_corpus, AlignmentHistory(7), gateway)
-        assert graphs_equal(result.graph, g)
-        assert result.precision == 1.0
+        new_g, row = run_alignment_round(g, small_corpus, deque(), gateway)
+        assert new_g is g
+        assert row == {
+            "precision": 1.0, "edits_applied": 0, "edits_rejected": 0, "edits_skipped": 0
+        }
 
     def test_incorrect_partition_in_prompt(self, small_corpus):
         llm = FakeLlm(wrong_ids={"q02"})
-        run_alignment_round(alignment_graph(), small_corpus, AlignmentHistory(7), llm)
+        run_alignment_round(alignment_graph(), small_corpus, deque(), llm)
         update_prompt = llm.prompts("p_u")[0]
         correct_section = update_prompt.split("Incorrectly Answered Questions")[0]
         incorrect_section = update_prompt.split("Incorrectly Answered Questions")[1]
@@ -395,8 +396,7 @@ class TestRunAlignmentRound:
         assert "Problem q02:" not in correct_section
 
     def test_history_rendered_in_prompt(self, small_corpus, fake_llm):
-        history = AlignmentHistory(7)
-        history.push(alignment_graph(), 0.25)
+        history = deque([("(none)", 0.25)])
         run_alignment_round(alignment_graph(), small_corpus, history, fake_llm)
         prompt = fake_llm.prompts("p_u")[0]
         assert "Optimization History" in prompt
@@ -408,9 +408,7 @@ class TestRunAlignmentRound:
             directed=frozenset({(0, 1)}),
             undirected=frozenset({(1, 2)}),
         )
-        history = AlignmentHistory(7)
-        history.push(chained, 0.5)
-        history.push(alignment_graph(), 0.25)
+        history = deque([(verbalize(chained).relations_text(), 0.5), ("(none)", 0.25)])
         run_alignment_round(alignment_graph(), small_corpus, history, fake_llm)
         block = "\n\n".join(
             f"## Round precision {precision:.3f}\n{verbalize(g).relations_text() or '(none)'}"
@@ -525,31 +523,35 @@ class TestPipelineDeterminism:
         assert blobs[0][0] == (tmp_path / "rec" / "incidence.csv").read_bytes()
 
 
-class TestAlignmentHistoryRing:
-    def test_cap(self):
-        h = AlignmentHistory(7)
-        for i in range(10):
-            h.push(Mcg(nodes=()), i / 10)
-        assert len(h.entries) == 7
-        assert h.entries[0][1] == pytest.approx(0.3)
+class TestUpdateHistory:
+    """The p_u prompt's history block: what align keeps of each round."""
 
-    def test_entries_hold_relations_text(self):
-        chained = Mcg(
-            nodes=alignment_graph().nodes, directed=frozenset({(0, 1)}), undirected=frozenset()
+    def test_cap(self, small_corpus, fake_llm):
+        history = deque(maxlen=7)
+        history.extend(("(none)", i / 10) for i in range(10))
+        run_alignment_round(alignment_graph(), small_corpus, history, fake_llm)
+        precisions = re.findall(r"## Round precision (\S+)", fake_llm.prompts("p_u")[0])
+        assert precisions == [f"{i / 10:.3f}" for i in range(3, 10)]
+
+    def test_entries_hold_relations_text(self, small_corpus):
+        # round 1 answers with the empty graph and adds alpha -> beta, which
+        # round 2 answers with; round 3's history holds both graphs
+        llm = FakeLlm(update_responses=[update_response("**alpha** is prerequisite of **beta**.")])
+        align(alignment_graph(), small_corpus, AlignmentConfig(m=4, s_b=2, n_e=2, seed=0), llm)
+        edited = Mcg(nodes=alignment_graph().nodes, directed=frozenset({(0, 1)}))
+        block = "\n\n".join(
+            f"## Round precision 1.000\n{text}"
+            for text in ("(none)", verbalize(edited).relations_text())
         )
-        h = AlignmentHistory(7)
-        h.push(chained, 0.5)
-        h.push(alignment_graph(), 0.25)
-        assert h.entries == [(verbalize(chained).relations_text(), 0.5), ("(none)", 0.25)]
+        prompts = llm.prompts("p_u")
+        assert "Optimization History" not in prompts[0]
+        assert "# Optimization History (most recent last)\n\n" + block in prompts[2]
 
-    def test_zero_capacity(self):
-        h = AlignmentHistory(0)
-        h.push(Mcg(nodes=()), 0.5)
-        assert len(h.entries) == 0
-
-    def test_bad_precision_rejected(self):
-        with pytest.raises(ValueError):
-            AlignmentHistory(3).push(Mcg(nodes=()), 1.5)
+    def test_zero_capacity(self, small_corpus, fake_llm):
+        cfg = AlignmentConfig(m=4, s_b=2, n_e=2, r=0, c_stop=99, seed=0)
+        align(alignment_graph(), small_corpus, cfg, fake_llm)
+        assert len(fake_llm.prompts("p_u")) == 4
+        assert not any("Optimization History" in p for p in fake_llm.prompts("p_u"))
 
 
 class TestAlignmentConfigValidation:

@@ -76,13 +76,13 @@ class TestParseExtractedPoints:
     )
 
     def test_two_points(self):
-        points = parse_extracted_points(self.RESPONSE, 3).points
+        points = parse_extracted_points(self.RESPONSE, 3)
         assert [p.key for p in points] == ["modular arithmetic", "quadratic systems"]
         assert points[0].description == "Solving congruences"
 
     def test_truncated_to_granularity(self):
         lines = "\n".join(f"**point {i}**: d{i}." for i in range(5))
-        points = parse_extracted_points(lines, 3).points
+        points = parse_extracted_points(lines, 3)
         assert [p.key for p in points] == ["point 0", "point 1", "point 2"]
 
     def test_empty_body(self):
@@ -95,12 +95,12 @@ class TestParseExtractedPoints:
             "Part 3: Final Output.\n"
             "**Real Point**: the actual output.\n"
         )
-        points = parse_extracted_points(raw, 3).points
+        points = parse_extracted_points(raw, 3)
         assert [p.key for p in points] == ["real point"]
 
     def test_duplicate_keys_first_wins(self):
         raw = "**A point**: first.\n**a  point**: second.\n"
-        points = parse_extracted_points(raw, 3).points
+        points = parse_extracted_points(raw, 3)
         assert len(points) == 1
         assert points[0].description == "first."
 
@@ -108,8 +108,8 @@ class TestParseExtractedPoints:
     @given(st.text(max_size=200), st.integers(1, 5))
     def test_total(self, raw, lam):
         try:
-            result = parse_extracted_points(raw, lam)
-            assert 1 <= len(result.points) <= lam
+            points = parse_extracted_points(raw, lam)
+            assert 1 <= len(points) <= lam
         except ReplyError:
             pass
 
@@ -120,9 +120,7 @@ class TestParseDedup:
             "<answer>**Removed Knowledge Points:**\n[**Old A**]\n\n"
             "**Replacement Details:**\n[**New B** can replace **Old A**]</answer>"
         )
-        result = parse_dedup(raw)
-        assert result.removed == ("old a",)
-        assert result.replacements.pairs == {"old a": "new b"}
+        assert parse_dedup(raw).pairs == {"old a": "new b"}
 
     def test_target_also_removed_rejected(self):
         raw = (
@@ -137,9 +135,7 @@ class TestParseDedup:
             "<answer>**Removed Knowledge Points:**\n[]\n\n"
             "**Replacement Details:**\n[]</answer>"
         )
-        result = parse_dedup(raw)
-        assert result.removed == ()
-        assert result.replacements.pairs == {}
+        assert parse_dedup(raw).pairs == {}
 
     def test_chain_collapsed(self):
         raw = (
@@ -147,8 +143,7 @@ class TestParseDedup:
             "**Replacement Details:**\n"
             "[**B** can replace **A**,\n **C** can replace **B**]</answer>"
         )
-        result = parse_dedup(raw)
-        assert result.replacements.pairs == {"a": "c", "b": "c"}
+        assert parse_dedup(raw).pairs == {"a": "c", "b": "c"}
 
     def test_cycle_rejected(self):
         raw = (
@@ -281,7 +276,7 @@ class TestRenderEchoRoundTrip:
         body = "Part 3: Final Output.\n" + "\n".join(
             f"**{p.key}**: {p.description}" for p in points
         )
-        assert parse_extracted_points(body, 3).points == points
+        assert parse_extracted_points(body, 3) == points
 
     def test_chosen_factors(self):
         chosen = {0, 4, 15}
@@ -313,8 +308,8 @@ class TestRenderEchoRoundTrip:
             + "]</answer>"
         )
         result = parse_dedup(rendered)
-        assert result.removed == removed
-        assert result.replacements.pairs == pairs
+        assert tuple(result.pairs) == removed
+        assert result.pairs == pairs
 
 
 def dedup_reply(removed: str, replacements: str) -> str:

@@ -4,6 +4,7 @@ import json
 import logging
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -14,7 +15,7 @@ import cama.reasoning
 from cama.client import ChatRequest, HttpChatClient, RecordingClient, ScriptedChatClient
 from cama.errors import EmptyTestSet, TransportError
 from cama.graph import Mcg, Verbalization, extract_subgraph, graphs_equal, verbalize
-from cama.learning import AlignmentHistory, ExtractionRecord, deduplicate, run_alignment_round
+from cama.learning import ExtractionRecord, deduplicate, run_alignment_round
 from cama.model import KnowledgePoint, QaRecord, ReplacementMap
 from cama.reasoning import answer_question, answer_questions, evaluate, judge_exact
 
@@ -369,8 +370,8 @@ class TestFanOut:
         try:
             for client in clients:
                 assert deduplicate(records, client) == (list(points), ReplacementMap())
-                result = run_alignment_round(g, self.corpus()[:2], AlignmentHistory(3), client)
-                assert result.graph is g and result.edits_applied == 0
+                new_g, row = run_alignment_round(g, self.corpus()[:2], deque(), client)
+                assert new_g is g and row["edits_applied"] == 0
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -34,8 +34,8 @@ def ref_candidates(frozen, u, v, level):
                 yield subset
 
 
-def ref_skeleton_from_ci(k, independent, max_cond_size=None):
-    cap = min(k - 2, DEFAULT_MAX_COND_SIZE if max_cond_size is None else max_cond_size)
+def ref_skeleton_from_ci(k, independent, max_cond_size=DEFAULT_MAX_COND_SIZE):
+    cap = min(k - 2, max_cond_size)
     adj = {i: set(range(k)) - {i} for i in range(k)}
     sepsets = {}
     level = 0
@@ -100,7 +100,7 @@ def test_oracle_waves_ask_the_reference_tests():
     for seed in range(30):
         k = 4 + seed % 7
         dag = random_true_dag(k, (0.2, 0.35, 0.5)[seed % 3], seed=seed)
-        for max_cond_size in (None, 1):
+        for max_cond_size in (DEFAULT_MAX_COND_SIZE, 1):
             decide, got_sizes = counted_batch(dsep_independence(dag))
             got = skeleton_from_ci(k, decide, max_cond_size=max_cond_size)
             independent, want_sizes = counted(lambda u, v, s: d_separation_ci(dag, u, v, s))
