@@ -36,28 +36,30 @@ def guarded(fn):
     return wrapper
 
 
-def common_options(fn):
-    # parameter names are load_config's override keys
-    options = [
-        click.option("--config", "path", type=click.Path(), default=None,
-                     help="Config file (key = value lines)."),
-        click.option("--run-dir", type=click.Path(), default=None,
-                     help="Directory for run artifacts."),
-        click.option("--lambda", "lambda", type=int, default=None,
-                     help="Knowledge-point granularity per question."),
-        click.option("--alpha", type=float, default=None,
-                     help="Significance level of the independence test."),
-        click.option("--seed", type=int, default=None, help="Deterministic seed."),
-        click.option("--repetitions", type=int, default=None,
-                     help="Evaluation repetitions per question."),
-        click.option("--transcript", type=click.Path(), default=None,
-                     help="Transcript file for record/replay."),
-        click.option("--mode", type=click.Choice(["live", "record", "replay"]),
-                     default=None, help="Gateway mode."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
+# each settings flag once, keyed by the config key it sets (``config`` names
+# the file); its parameter name is the matching argument of load_config
+SETTINGS = {
+    "config": click.option("--config", "path", type=click.Path(), default=None,
+                           help="Config file (key = value lines)."),
+    "run_dir": click.option("--run-dir", type=click.Path(), default=None,
+                            help="Directory for run artifacts."),
+    "lambda": click.option("--lambda", "lambda", type=int, default=None,
+                           help="Knowledge-point granularity per question."),
+    "alpha": click.option("--alpha", type=float, default=None,
+                          help="Significance level of the independence test."),
+    "seed": click.option("--seed", type=int, default=None, help="Deterministic seed."),
+    "repetitions": click.option("--repetitions", type=int, default=None,
+                                help="Evaluation repetitions per question."),
+    "transcript": click.option("--transcript", type=click.Path(), default=None,
+                               help="Transcript file for record/replay."),
+    "mode": click.option("--mode", type=click.Choice(["live", "record", "replay"]),
+                         default=None, help="Gateway mode."),
+}
+
+
+def settings(*keys):
+    """The settings flags of ``keys``, in that order."""
+    return lambda fn: functools.reduce(lambda f, key: SETTINGS[key](f), reversed(keys), fn)
 
 
 @click.group()
@@ -67,7 +69,7 @@ def main():
 
 @main.command("build-dataset")
 @click.argument("qa_file", type=click.Path(exists=True))
-@common_options
+@settings("config", "run_dir", "mode", "transcript")
 @guarded
 def cmd_build_dataset(qa_file, **cfg_kwargs):
     """Generate solutions for a QA file; keep correctly answered records."""
@@ -83,7 +85,7 @@ def cmd_build_dataset(qa_file, **cfg_kwargs):
 
 @main.command("learn")
 @click.argument("dataset_file", type=click.Path(exists=True))
-@common_options
+@settings("config", "run_dir", "lambda", "alpha", "seed", "mode", "transcript")
 @guarded
 def cmd_learn(dataset_file, **cfg_kwargs):
     """Extraction, deduplication, discovery and alignment over a dataset."""
@@ -112,7 +114,7 @@ def cmd_learn(dataset_file, **cfg_kwargs):
 @main.command("discover")
 @click.argument("incidence_csv", type=click.Path(exists=True))
 @click.option("--out", type=click.Path(), default=None, help="Output graph path.")
-@common_options
+@settings("config", "run_dir", "alpha")
 @guarded
 def cmd_discover(incidence_csv, out, **cfg_kwargs):
     """Causal discovery only, over an existing incidence matrix."""
@@ -131,7 +133,7 @@ def cmd_discover(incidence_csv, out, **cfg_kwargs):
 @main.command("answer")
 @click.argument("graph_file", type=click.Path(exists=True))
 @click.argument("question")
-@common_options
+@settings("config", "run_dir", "mode", "transcript")
 @guarded
 def cmd_answer(graph_file, question, **cfg_kwargs):
     """Answer one question guided by a learned graph."""
@@ -162,7 +164,7 @@ def cmd_answer(graph_file, question, **cfg_kwargs):
 @main.command("evaluate")
 @click.argument("graph_file", type=click.Path(exists=True))
 @click.argument("test_file", type=click.Path(exists=True))
-@common_options
+@settings("config", "run_dir", "repetitions", "mode", "transcript")
 @guarded
 def cmd_evaluate(graph_file, test_file, **cfg_kwargs):
     """Pass@1 evaluation of a graph over a test corpus."""

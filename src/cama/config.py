@@ -110,16 +110,19 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"config line {lineno} has an unclosed quote")
         if "=" not in stripped:
             raise ConfigError(f"config line {lineno} is not 'key = value'")
+        if "\0" in stripped:
+            raise ConfigError(f"config line {lineno} holds a NUL character")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key.startswith("alignment."):
-            sub = key.split(".", 1)[1]
-            if sub not in _ALIGN_KEYS:
-                raise ConfigError(f"unknown config key {key!r} (line {lineno})")
-            values.setdefault("alignment", {})[sub] = _coerce(key, raw, _ALIGN_KEYS[sub])
-        elif key in _SCALAR_KEYS:
-            values[key] = _coerce(key, raw, _SCALAR_KEYS[key])
+            table, kinds = values.setdefault("alignment", {}), _ALIGN_KEYS
+            name = key.removeprefix("alignment.")
         else:
+            table, name, kinds = values, key, _SCALAR_KEYS
+        if name not in kinds:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
+        if name in table:
+            raise ConfigError(f"config key {key!r} repeated (line {lineno})")
+        table[name] = _coerce(key, raw, kinds[name])
     return values
 
 

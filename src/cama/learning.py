@@ -19,7 +19,7 @@ import numpy as np
 
 from .client import ChatClient, ask
 from .discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE, discover_cpdag
-from .errors import CamaError, EmptyDataset, ReplyError
+from .errors import CamaError, ConfigError, EmptyDataset, ParseError, ReplyError
 from .graph import GraphBuilder, Mcg, graphs_equal, save_graph, verbalize
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint, QaRecord, ReplacementMap, json_line, write_json
@@ -97,7 +97,7 @@ def build_dataset(qa: list[QaRecord], gateway: ChatClient) -> list[QaRecord]:
     """
     for rec in qa:
         if rec.solution is not None:
-            raise ValueError(f"record {rec.id!r} already has a solution")
+            raise ParseError(f"record {rec.id!r} already has a solution")
     questions = [{"question": rec.question} for rec in qa]
     retained: list[QaRecord] = []
     for rec, result in zip(qa, ask(gateway, "p_g", questions, _answer_and_solution)):
@@ -337,12 +337,8 @@ def align(
     """
     if not dataset:
         raise EmptyDataset("alignment requires a non-empty dataset")
-    m = len(dataset) if cfg.m is None else cfg.m
-    if m > len(dataset):
-        raise ValueError(f"subset size {m} exceeds dataset size {len(dataset)}")
-
     rng = random.Random(cfg.seed)
-    subset = rng.sample(dataset, m)
+    subset = rng.sample(dataset, len(dataset) if cfg.m is None else cfg.m)
     report = AlignmentReport(subset_ids=[r.id for r in subset])
 
     g = g0
@@ -396,6 +392,9 @@ def run_learn_pipeline(
     align_cfg: AlignmentConfig = AlignmentConfig(),
 ) -> tuple[Mcg, Mcg, AlignmentReport]:
     """Extraction through alignment, persisting every intermediate artifact."""
+    # an alignment subset larger than the dataset fails before any model call
+    if align_cfg.m is not None and align_cfg.m > len(dataset):
+        raise ConfigError(f"alignment.m = {align_cfg.m} exceeds dataset size {len(dataset)}")
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 

@@ -70,6 +70,38 @@ FORK_SCENARIO = {
 }
 
 
+class ConfigBuilt(Exception):
+    """Stops a command once it has built its Config."""
+
+
+# the positional arguments of each command that reads a config, and the
+# settings flags it takes
+COMMAND_SETTINGS = {
+    "build-dataset": (["in"], ("config", "run_dir", "mode", "transcript")),
+    "learn": (["in"], ("config", "run_dir", "lambda", "alpha", "seed", "mode", "transcript")),
+    "discover": (["in"], ("config", "run_dir", "alpha")),
+    "answer": (["in", "q?"], ("config", "run_dir", "mode", "transcript")),
+    "evaluate": (["in", "in"], ("config", "run_dir", "repetitions", "mode", "transcript")),
+}
+# each settings flag: its arguments, what the Config reads of it, the value
+SETTING_CASES = {
+    "config": (["--config", "cama.conf"], lambda cfg: cfg.max_cond_size, 2),
+    "run_dir": (["--run-dir", "out"], lambda cfg: cfg.run_dir, Path("out")),
+    "lambda": (["--lambda", "3"], lambda cfg: cfg.granularity, 3),
+    "alpha": (["--alpha", "0.01"], lambda cfg: cfg.alpha, 0.01),
+    "seed": (["--seed", "7"], lambda cfg: cfg.alignment.seed, 7),
+    "repetitions": (["--repetitions", "2"], lambda cfg: cfg.repetitions, 2),
+    "mode": (["--mode", "replay"], lambda cfg: cfg.transcript_mode, "replay"),
+    "transcript": (["--transcript", "t.jsonl"], lambda cfg: cfg.transcript_path, Path("t.jsonl")),
+}
+UNREAD_FLAGS = [
+    (command, key)
+    for command, (_, keys) in COMMAND_SETTINGS.items()
+    for key in SETTING_CASES
+    if key not in keys
+]
+
+
 class TestConfig:
     def test_parse_file_and_env_override(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "cama.conf"
@@ -210,32 +242,71 @@ class TestConfig:
         assert (client.temperature, client.in_flight_limit) == (0.1, 2)
         assert client.max_retries == DEFAULT_MAX_RETRIES
 
-    def test_every_common_option_reaches_the_config(self, runner, tmp_path, monkeypatch):
-        cfg_file = tmp_path / "cama.conf"
-        cfg_file.write_text("alpha = 0.01\n")
-        csv = tmp_path / "z.csv"
-        csv.write_text("id,a,b\nr1,0,1\nr2,1,0\n")
+    @pytest.mark.parametrize("command", COMMAND_SETTINGS)
+    def test_every_settings_flag_reaches_the_config(self, runner, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("in").write_text("")
+        Path("cama.conf").write_text("max_cond_size = 2\n")
         built = []
 
         def spy(*args, **overrides):
             built.append(load_config(*args, **overrides))
-            return built[-1]
+            raise ConfigBuilt
 
         monkeypatch.setattr("cama.cli.load_config", spy)
-        result = runner.invoke(
-            main,
-            ["discover", str(csv), "--config", str(cfg_file), "--lambda", "3",
-             "--seed", "7", "--repetitions", "2", "--mode", "replay",
-             "--transcript", "t.jsonl", "--run-dir", str(tmp_path)],
-        )
-        assert result.exit_code == 0, result.output
+        arguments, keys = COMMAND_SETTINGS[command]
+        flags = [part for key in keys for part in SETTING_CASES[key][0]]
+        result = runner.invoke(main, [command, *arguments, *flags])
+        assert isinstance(result.exception, ConfigBuilt), result.output
         [cfg] = built
-        assert (cfg.alpha, cfg.granularity, cfg.alignment.seed, cfg.repetitions) == (
-            0.01, 3, 7, 2
-        )
-        assert (cfg.transcript_mode, cfg.transcript_path, cfg.run_dir) == (
-            "replay", Path("t.jsonl"), tmp_path
-        )
+        assert {key: SETTING_CASES[key][1](cfg) for key in keys} == {
+            key: SETTING_CASES[key][2] for key in keys
+        }
+
+    @pytest.mark.parametrize("command, key", UNREAD_FLAGS)
+    def test_flag_a_command_does_not_read_is_a_usage_error(
+        self, runner, tmp_path, monkeypatch, command, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("in").write_text("")
+        arguments, _ = COMMAND_SETTINGS[command]
+        flag = SETTING_CASES[key][0]
+        result = runner.invoke(main, [command, *arguments, *flag])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"No such option '{flag[0]}'" in result.output
+        assert "Traceback" not in result.output
+
+    def test_readme_flags_are_the_commands_flags(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+        def flags(command):
+            return {opt for param in command.params for opt in param.opts if opt.startswith("--")}
+
+        commands = readme.split("| Command | Flags |")[1].split("\n\n")[0]
+        rows = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", commands, re.M))
+        assert rows.keys() == main.commands.keys()
+        for name, cell in rows.items():
+            assert set(re.findall(r"`(--[\w-]+)`", cell)) == flags(main.commands[name]), name
+        # a config key's flag is taken by exactly the commands that read a config
+        table = readme.split("| Key | Default | Flag | Meaning |")[1].split("\n\n")[0]
+        cells = dict(re.findall(r"^\| `[\w.]+` \| [^|]* \| `(--[\w-]+)` \(([^)]*)\) \|", table, re.M))
+        assert cells.keys() == {args[0] for args, _, _ in SETTING_CASES.values()} - {"--config"}
+        for flag, cell in cells.items():
+            taking = {name for name, c in main.commands.items() if {"--config", flag} <= flags(c)}
+            assert set(re.findall(r"`([\w-]+)`", cell)) == taking, flag
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="config key 'alpha' repeated \\(line 2\\)"):
+            parse_config_text("alpha = 0.01\nalpha = 0.01\n")
+        with pytest.raises(ConfigError, match="config key 'alignment.r' repeated"):
+            parse_config_text("alignment.r = 2\nalignment.s_b = 2\nalignment.r = 3\n")
+
+    @pytest.mark.parametrize("line", ["run_dir = a\0b", "transcript = \"t\0.jsonl\"", "\0lambda = 3"])
+    def test_nul_character_rejected(self, tmp_path, line):
+        cfg_file = tmp_path / "cama.conf"
+        cfg_file.write_text(f"alpha = 0.01\n{line}\n")
+        with pytest.raises(ConfigError, match="config line 2 holds a NUL character"):
+            load_config(cfg_file)
 
 
 class TestDiscoverCommand:
@@ -380,20 +451,24 @@ type_swaps = st.one_of(
 )
 
 
-def swapped(doc, paths=None):
-    """JSON text of ``doc`` with the value at one path replaced by a type
-    swap. A string never replaces a string: that renames a node instead of
-    breaking the document."""
+def both_strings(old, new) -> bool:
+    return isinstance(old, str) and isinstance(new, str)
+
+
+def swapped(doc, paths=None, render=json.dumps, same_kind=both_strings):
+    """Text of ``doc`` with the value at one path replaced by a type swap,
+    never by one of ``same_kind`` as the value it replaces. By default a
+    string never replaces a string: that renames a node instead of breaking
+    the document."""
     if paths is None:
         paths = st.sampled_from(list(value_paths(doc)))
 
     def swaps_at(path):
-        swaps = type_swaps
-        if isinstance(value_at(doc, path), str):
-            swaps = swaps.filter(lambda value: not isinstance(value, str))
+        old = value_at(doc, path)
+        swaps = type_swaps.filter(lambda value: not same_kind(old, value))
         return swaps.map(lambda value: replaced(doc, path, value))
 
-    return paths.flatmap(swaps_at).map(json.dumps)
+    return paths.flatmap(swaps_at).map(render)
 
 
 def with_repeated_key(doc, key, value):
@@ -402,25 +477,24 @@ def with_repeated_key(doc, key, value):
     return json.dumps(doc)[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
 
 
-def repeated_keys(doc):
+def repeated_keys(doc, repeat=with_repeated_key):
     """A top-level key repeated with a type swap or another of the
-    document's own values."""
+    document's own values; ``repeat(doc, key, value)`` writes the text."""
     own_values = st.sampled_from([value_at(doc, path) for path in value_paths(doc)])
-    return st.builds(
-        with_repeated_key, st.just(doc), st.sampled_from(list(doc)), type_swaps | own_values
-    )
+    return st.builds(repeat, st.just(doc), st.sampled_from(list(doc)), type_swaps | own_values)
 
 
-def truncated(doc):
-    text = json.dumps(doc)
+def truncated(doc, render=json.dumps):
+    text = render(doc)
     return st.integers(0, len(text) - 1).map(lambda cut: text[:cut])
 
 
 def run_on_document(text: str, args, outputs):
     """(result, bytes of each output file or None) of a cama command run
-    in-process; ``args(document, out_dir)`` gives its arguments."""
-    with tempfile.TemporaryDirectory() as tmp:
-        document = Path(tmp) / "document.json"
+    in-process in a fresh working directory; ``args(document, out_dir)``
+    gives its arguments."""
+    with CliRunner().isolated_filesystem() as tmp:
+        document = Path(tmp) / "document"
         document.write_text(text, encoding="utf-8")
         result = CliRunner().invoke(main, args(str(document), tmp))
         files = None
@@ -429,14 +503,16 @@ def run_on_document(text: str, args, outputs):
         return result, files
 
 
-def assert_loads_as_valid_or_fails_cleanly(result, files, valid_files, text):
+def assert_loads_as_valid_or_fails_cleanly(
+    result, files, valid_files, text, errors=("ParseError",)
+):
     assert "Traceback" not in result.output
     if result.exit_code == 0:
         assert files == valid_files, text
     else:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), text
         error = json.loads(result.output.strip().splitlines()[-1])
-        assert error["error"] == "ParseError", text
+        assert error["error"] in errors, text
 
 
 def synth(text: str):
@@ -596,6 +672,125 @@ class TestTranscriptDocument:
         assert_loads_as_valid_or_fails_cleanly(result, files, valid_answer_audit(), text)
 
 
+# every key the parser accepts, each at a value that no cut of the text can
+# turn into another valid value that discover reads: alpha and
+# max_cond_size are the defaults a dropped line falls back to
+VALID_CONFIG = {
+    "api_base": "http://api.example/v1",
+    "model": "m1",
+    "api_key_env": "CAMA_API_KEY",
+    "lambda": 3,
+    "alpha": DEFAULT_ALPHA,
+    "max_cond_size": DEFAULT_MAX_COND_SIZE,
+    "temperature": 0.6,
+    "in_flight_limit": 16,
+    "repetitions": 2,
+    "seed": 7,
+    "run_dir": "run",
+    "mode": "replay",
+    "transcript": "t.jsonl",
+    "alignment.m": 10,
+    "alignment.s_b": 5,
+    "alignment.n_e": 10,
+    "alignment.r": 7,
+    "alignment.c_stop": 3,
+}
+# a and b are dependent at alpha 0.5 and independent at the default 0.05
+CONFIG_CSV = "id,a,b,c\n" + "".join(
+    f"r{i},{a},{b},{c}\n"
+    for i, (a, b, c) in enumerate(
+        [(1, 1, 1), (1, 1, 1), (1, 1, 1), (0, 0, 1), (0, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1)]
+    )
+)
+
+
+def config_value(value) -> str:
+    # a string is written raw between quotes, so a NUL in it stays a NUL
+    return f'"{value}"' if isinstance(value, str) else json.dumps(value)
+
+
+def config_text(doc) -> str:
+    return "".join(f"{key} = {config_value(value)}\n" for key, value in doc.items())
+
+
+def config_with_repeated_key(doc, key, value) -> str:
+    return config_text(doc) + f"{key} = {config_value(value)}\n"
+
+
+def reads_as_same_kind(old, new) -> bool:
+    """Whether the config line reads ``new`` as a finite value of ``old``'s
+    type: a valid, different document rather than a broken one."""
+    try:
+        value = type(old)(config_value(new).strip('"'))
+    except ValueError:
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def inserted(text: str, pieces):
+    return st.builds(
+        lambda cut, piece: text[:cut] + piece + text[cut:], st.integers(0, len(text)), pieces
+    )
+
+
+def nul_in_value(key):
+    # a NUL gets past the parser only inside a string value
+    return inserted(VALID_CONFIG[key], st.just("\0")).map(
+        lambda value: config_text(replaced(VALID_CONFIG, (key,), value))
+    )
+
+
+def discover_config(text: str):
+    """``cama discover --config`` on a config document: its graph.json."""
+
+    def args(document, out):
+        (Path(out) / "z.csv").write_text(CONFIG_CSV)
+        return ["discover", "z.csv", "--config", document, "--out", "graph.json"]
+
+    return run_on_document(text, args, ["graph.json"])
+
+
+@cache
+def valid_config_graph():
+    result, files = discover_config(config_text(VALID_CONFIG))
+    assert result.exit_code == 0, result.output
+    return files
+
+
+string_keys = [key for key, value in VALID_CONFIG.items() if isinstance(value, str)]
+mutated_config = st.one_of(
+    swapped(
+        VALID_CONFIG,
+        st.sampled_from([(key,) for key in VALID_CONFIG if key not in string_keys]),
+        render=config_text,
+        same_kind=reads_as_same_kind,
+    ),
+    st.sampled_from(string_keys).flatmap(nul_in_value),
+    repeated_keys(VALID_CONFIG, config_with_repeated_key),
+    truncated(VALID_CONFIG, render=config_text),
+    inserted(
+        config_text(VALID_CONFIG),
+        st.sampled_from(['"', "\0"])
+        | st.text(alphabet="xyz_.", min_size=1, max_size=6).map(lambda key: f"\n{key} = 1\n"),
+    ),
+)
+
+
+class TestConfigDocument:
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(mutated_config)
+    # a NUL in the path of the directory discover makes
+    @example(config_text(replaced(VALID_CONFIG, ("run_dir",), "a\0b")))
+    # a repeated key whose second value is a valid, different significance level
+    @example(config_with_repeated_key(VALID_CONFIG, "alpha", 0.5))
+    @example(config_text(replaced(VALID_CONFIG, ("alpha",), math.nan)))
+    def test_mutated_config_loads_as_valid_or_fails_cleanly(self, text):
+        result, files = discover_config(text)
+        assert_loads_as_valid_or_fails_cleanly(
+            result, files, valid_config_graph(), text, errors=("ConfigError", "ParseError")
+        )
+
+
 class TestExportDotCommand:
     def test_writes_dot(self, runner, tmp_path):
         g = Mcg(
@@ -731,7 +926,7 @@ def evaluate_replay_args(tmp_path, transcript):
 
 
 def error_line(result) -> dict:
-    assert result.exit_code == 1
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exception
     return json.loads(result.output.strip().splitlines()[-1])
 
 
@@ -782,3 +977,39 @@ class TestLoaderErrors:
             "error": "ParseError",
             "message": "bad transcript line 1: tag, prompt_sha256 and response must be strings",
         }
+
+
+class TestCommandErrors:
+    """A command given inputs it cannot use prints the JSON error line and
+    exits 1, never a traceback."""
+
+    def test_build_dataset_on_solved_records_is_a_parse_error(self, runner, tmp_path):
+        qa_file = tmp_path / "qa.json"
+        qa_file.write_text('[{"id": "a", "question": "q?", "answer": "1", "solution": "s"}]')
+        (tmp_path / "t.jsonl").write_text("")
+        result = runner.invoke(
+            main,
+            ["build-dataset", str(qa_file), "--mode", "replay",
+             "--transcript", str(tmp_path / "t.jsonl"), "--run-dir", str(tmp_path / "run")],
+        )
+        assert error_line(result) == {
+            "error": "ParseError", "message": "record 'a' already has a solution"
+        }
+
+    def test_oversized_alignment_subset_fails_before_any_model_call(
+        self, runner, tmp_path, monkeypatch
+    ):
+        save_qa_records(make_corpus([("q01", 1, 2, ["alpha"])]), tmp_path / "dataset.json")
+        (tmp_path / "cama.conf").write_text("alignment.m = 50\n")
+        llm = FakeLlm()
+        monkeypatch.setattr("cama.cli.build_client", lambda cfg: llm)
+        result = runner.invoke(
+            main,
+            ["learn", str(tmp_path / "dataset.json"), "--config", str(tmp_path / "cama.conf"),
+             "--run-dir", str(tmp_path / "run")],
+        )
+        assert error_line(result) == {
+            "error": "ConfigError", "message": "alignment.m = 50 exceeds dataset size 1"
+        }
+        assert llm.calls == []
+        assert not (tmp_path / "run").exists()

@@ -9,7 +9,7 @@ from conftest import make_corpus
 from fake_llm import FakeLlm, parse_marked_kps, update_response
 
 from cama.client import ChatRequest
-from cama.errors import EmptyDataset, TransportError
+from cama.errors import EmptyDataset, ParseError, TransportError
 from cama.graph import Mcg, extract_subgraph, graphs_equal, topological_order, verbalize
 from cama.learning import (
     AlignmentConfig,
@@ -72,7 +72,7 @@ class TestBuildDataset:
 
     def test_existing_solution_rejected(self):
         solved = make_corpus([("q01", 1, 2, ["alpha"])])
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="record 'q01' already has a solution"):
             build_dataset(solved, FakeLlm())
 
 
