@@ -6,8 +6,10 @@ import re
 import tempfile
 from functools import cache, reduce
 from pathlib import Path
+from unittest import mock
 
 import pytest
+import requests
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,11 +17,11 @@ from hypothesis import strategies as st
 from conftest import make_corpus
 from fake_llm import FakeLlm, question_text
 
-import cama.client as client_mod
 from cama.cli import main
 from cama.client import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_TEMPERATURE,
+    ChatRequest,
     HttpChatClient,
     RecordingClient,
 )
@@ -35,6 +37,7 @@ from cama.discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
 from cama.errors import ConfigError
 from cama.graph import Mcg, load_graph, save_graph
 from cama.learning import AlignmentConfig, extract_all
+from cama.matrix import load_incidence_csv
 from cama.model import KnowledgePoint, QaRecord, save_qa_records
 from cama.reasoning import answer_question, evaluate
 
@@ -52,10 +55,20 @@ def clean_env(monkeypatch):
 
 @pytest.fixture
 def no_network(monkeypatch):
-    def refuse(url, headers, payload, timeout):
+    """Refuse every request sent through ``requests``. An HttpChatClient
+    bound its default transport when the class was defined, so replacing
+    the transport function would not reach a client built later."""
+
+    def refuse(self, method, url, *args, **kwargs):
         raise AssertionError(f"network access attempted: {url}")
 
-    monkeypatch.setattr(client_mod, "_requests_transport", refuse)
+    monkeypatch.setattr(requests.Session, "request", refuse)
+
+
+def test_no_network_refuses_a_default_http_client(no_network):
+    client = HttpChatClient(api_base="http://localhost:9", model="m")
+    with pytest.raises(AssertionError, match="network access attempted"):
+        client.complete(ChatRequest(prompt="hi", tag="p_t"))
 
 
 FLIP = 0.02
@@ -789,6 +802,110 @@ class TestConfigDocument:
         assert_loads_as_valid_or_fails_cleanly(
             result, files, valid_config_graph(), text, errors=("ConfigError", "ParseError")
         )
+
+
+# the incidence CSV as rows of fields; a cut inside the last row either
+# leaves the row whole or breaks it, and the keys and ids hold no quote
+CSV_ROWS = [line.split(",") for line in CONFIG_CSV.splitlines()]
+CSV_CELLS = [(i, j) for i in range(1, len(CSV_ROWS)) for j in range(1, len(CSV_ROWS[0]))]
+CSV_FIELDS = [(i, j) for i in range(len(CSV_ROWS)) for j in range(len(CSV_ROWS[0]))]
+# cells int() rejects or reads as neither 0 nor 1, type swaps among them
+BAD_CELLS = ["", "2", "-1", "x", "nan", "inf", "-inf", "1.0", "true", "null", '"0,1"', "1_0"]
+
+
+def csv_text(rows, newline="\n") -> str:
+    return "".join(",".join(row) + newline for row in rows)
+
+
+def csv_with(edit):
+    """The CSV text after ``edit(rows)`` changed a copy of its rows."""
+    rows = copy.deepcopy(CSV_ROWS)
+    edit(rows)
+    return csv_text(rows)
+
+
+def with_field(i, j, value):
+    return csv_with(lambda rows: rows[i].__setitem__(j, value))
+
+
+def odd_cell(at):
+    """A cell written another way int() reads as the same value, or a bad cell."""
+    i, j = at
+    v = CSV_ROWS[i][j]
+    same = [f"0{v}", f" {v}", f"{v} ", f"+{v}", f"{v}\t", "١" if v == "1" else "-0", f'"{v}"']
+    return st.sampled_from(same + BAD_CELLS).map(lambda token: with_field(i, j, token))
+
+
+def ragged(at):
+    i, j = at
+    return st.sampled_from([
+        csv_with(lambda rows: rows[i].pop(j)),
+        csv_with(lambda rows: rows[i].insert(j, "0")),
+    ])
+
+
+def quoted(at):
+    """A field quoted whole, which reads as itself, or opened by a quote
+    that never closes."""
+    i, j = at
+    return st.sampled_from([f'"{CSV_ROWS[i][j]}"', f'"{CSV_ROWS[i][j]}']).map(
+        lambda value: with_field(i, j, value)
+    )
+
+
+def truncated_last_row():
+    text = csv_text(CSV_ROWS)
+    start = len(text) - len(",".join(CSV_ROWS[-1])) - 1
+    return st.integers(start + 1, len(text) - 1).map(lambda cut: text[:cut])
+
+
+def discover_csv(text: str):
+    """``cama discover`` on an incidence CSV: its graph.json, and the matrix
+    it loaded as ``to_csv`` writes it, so a cell read as another value shows."""
+
+    def load_and_save(path):
+        z = load_incidence_csv(path)
+        z.save_csv("loaded.csv")
+        return z
+
+    with mock.patch("cama.cli.load_incidence_csv", load_and_save):
+        return run_on_document(
+            text, lambda document, out: ["discover", document, "--out", "graph.json"],
+            ["graph.json", "loaded.csv"],
+        )
+
+
+@cache
+def valid_csv_files():
+    result, files = discover_csv(CONFIG_CSV)
+    assert result.exit_code == 0, result.output
+    return files
+
+
+repeated_key = st.builds(
+    lambda j, other: with_field(0, j, CSV_ROWS[0][other]),
+    st.integers(1, len(CSV_ROWS[0]) - 1),
+    st.integers(1, len(CSV_ROWS[0]) - 1),
+).filter(lambda text: text != CONFIG_CSV)
+mutated_csv = st.one_of(
+    st.sampled_from(CSV_CELLS).flatmap(odd_cell),
+    st.sampled_from(CSV_FIELDS).flatmap(ragged),
+    repeated_key,
+    truncated_last_row(),
+    st.just("\ufeff" + CONFIG_CSV),
+    st.sampled_from(["\r\n", "\r"]).map(lambda newline: csv_text(CSV_ROWS, newline)),
+    st.sampled_from(CSV_FIELDS).flatmap(quoted),
+)
+
+
+class TestIncidenceDocument:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(mutated_csv)
+    # a quote opening a key that never closes swallows the rest of the file
+    @example(with_field(0, 2, '"b'))
+    def test_mutated_csv_loads_as_valid_or_fails_cleanly(self, text):
+        result, files = discover_csv(text)
+        assert_loads_as_valid_or_fails_cleanly(result, files, valid_csv_files(), text)
 
 
 class TestExportDotCommand:

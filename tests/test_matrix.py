@@ -1,3 +1,6 @@
+import csv
+import io
+import random
 import warnings
 
 import numpy as np
@@ -122,3 +125,39 @@ class TestCsvRoundTrip:
     def test_empty_document_rejected(self):
         with pytest.raises(ParseError):
             incidence_from_csv("")
+
+
+def writer_csv(z: IncidenceMatrix) -> str:
+    """What ``to_csv`` wrote when it called ``csv.writer`` on every row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["id", *z.col_keys])
+    for rid, row in zip(z.row_ids, z.cells):
+        writer.writerow([rid, *(int(x) for x in row)])
+    return buf.getvalue()
+
+
+# pieces of ids and keys: commas, quotes, line ends, NUL, non-ASCII, nothing
+TEXT_PIECES = ["q1", "a,b", 'say "hi"', "two\nlines", "cr\r", "\0", "\t", " ", "é", "数", ""]
+
+
+def random_text(rng: random.Random) -> str:
+    return "".join(rng.choices(TEXT_PIECES, k=rng.randint(0, 3)))
+
+
+class TestToCsv:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_csv_writer(self, seed):
+        rng = random.Random(seed)
+        n, k = rng.choice([0, 1, 3, 40]), rng.randint(0, 5)
+        keys = list(dict.fromkeys(random_text(rng) for _ in range(3 * k)))[:k]
+        z = IncidenceMatrix(
+            cells=np.array(rng.choices([0, 1], k=n * len(keys))).reshape(n, len(keys)),
+            row_ids=[random_text(rng) for _ in range(n)],
+            col_keys=keys,
+        )
+        assert z.to_csv() == writer_csv(z)
+
+    def test_zero_rows(self):
+        z = IncidenceMatrix(cells=np.zeros((0, 2)), row_ids=(), col_keys=("a", "b,c"))
+        assert z.to_csv() == writer_csv(z) == 'id,a,"b,c"\n'

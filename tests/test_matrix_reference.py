@@ -1,11 +1,14 @@
 """``incidence_from_csv`` against the cell-by-cell loader it replaced.
 
-``ref_incidence_from_csv`` calls ``int()`` on every cell and range-checks
-each row in Python. On seeded random documents (odd cells, quoted ids,
-ragged rows, blank lines, CRLF, header-only documents, a missing final
-newline) the vectorised loader must give the same cells, row ids and
-column keys, or raise the same error with the same message, and the sweep
-must reach both its canonical pass and its per-row fallback.
+``ref_incidence_from_csv`` splits every row with ``csv.reader``, calls
+``int()`` on every cell and range-checks each row in Python. On seeded
+random documents (odd cells, quoted and non-ASCII ids and keys, ragged
+rows, rows of only commas, blank and whitespace-only lines, a NUL in an
+id, CRLF, header-only documents, a missing final newline, a quote that
+first appears in the last row) the vectorised loader must give the same
+cells, row ids and column keys, or raise the same error with the same
+message. The sweep must reach its canonical pass and its per-row
+fallback, and split bodies both as plain lines and with ``csv.reader``.
 """
 
 import csv
@@ -13,6 +16,7 @@ import io
 import random
 
 import numpy as np
+import pytest
 
 import cama.matrix
 from cama.errors import ParseError
@@ -20,8 +24,11 @@ from cama.matrix import IncidenceMatrix, incidence_from_csv
 
 
 def ref_incidence_from_csv(text: str) -> IncidenceMatrix:
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    reader = csv.reader(io.StringIO(text), strict=True)
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as e:  # an unclosed quote; on Python 3.10, a NUL
+        raise ParseError(f"invalid incidence CSV: {e}") from e
     if not rows:
         raise ParseError("incidence CSV is empty")
     header = rows[0]
@@ -47,9 +54,11 @@ def ref_incidence_from_csv(text: str) -> IncidenceMatrix:
 
 
 # raw CSV tokens for a cell; '"1"' is a quoted 1, '"1,0"' a quoted comma
-ODD_CELLS = ["01", " 1", "1 ", "+0", "-0", "00", "1_0", "2", "-1", "x", "", '"1"', '"1,0"', "١", "٠"]
-ROW_IDS = ["q1", "r 2", '"q,3"', '"a, ""b"""', "", "١", "id"]
-KEYS = ["a", "b c", '"sums, products"', "١", "k"]
+PLAIN_CELLS = ["01", " 1", "1 ", "+0", "-0", "00", "1_0", "2", "-1", "x", "", "١", "٠"]
+ODD_CELLS = [*PLAIN_CELLS, '"1"', '"1,0"']
+PLAIN_IDS = ["q1", "r 2", "", "١", "id", "é", "问题7", "a\u2028b", "q\0"]
+ROW_IDS = [*PLAIN_IDS, '"q,3"', '"a, ""b"""']
+KEYS = ["a", "b c", '"sums, products"', "١", "ключ", "数学", "k"]
 
 
 def random_document(rng: random.Random) -> str:
@@ -59,17 +68,24 @@ def random_document(rng: random.Random) -> str:
     if rng.random() < 0.02:
         header = ["id"]
     odd_rate = rng.choice([0.0, 0.02, 0.1, 0.5])
+    # without a quoted id or cell, a body with "\n" line ends is plain
+    quoting = rng.random() < 0.5
+    row_ids, odd_cells = (ROW_IDS, ODD_CELLS) if quoting else (PLAIN_IDS, PLAIN_CELLS)
     lines = [",".join(header)]
     for _ in range(rng.randint(0, 8)):
         cells = [
-            rng.choice(ODD_CELLS) if rng.random() < odd_rate else rng.choice("01")
+            rng.choice(odd_cells) if rng.random() < odd_rate else rng.choice("01")
             for _ in range(len(header) - 1)
         ]
         if rng.random() < 0.05:
             cells = cells[:-1] if cells and rng.random() < 0.5 else [*cells, "1"]
-        lines.append(",".join([rng.choice(ROW_IDS), *cells]))
+        lines.append(",".join([rng.choice(row_ids), *cells]))
+    if rng.random() < 0.05:
+        lines.insert(rng.randint(1, len(lines)), "," * rng.randint(1, len(header)))
+    if not quoting and rng.random() < 0.1:
+        lines.append(",".join(['"late, quote"', *rng.choices("01", k=len(header) - 1)]))
     for _ in range(rng.choice([0, 0, 1, 2])):
-        lines.insert(rng.randint(0, len(lines)), "")
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", "", " ", "\t"]))
     text = rng.choice(["\n", "\r\n"]).join(lines)
     if rng.random() < 0.7:
         text += "\n"
@@ -84,25 +100,35 @@ def outcome(load, text):
     return ("matrix", z.cells.tobytes(order="F"), z.cells.shape, z.row_ids, z.col_keys)
 
 
+def counting(monkeypatch, name: str) -> list[int]:
+    """Replace ``cama.matrix.<name>`` by a wrapper that counts its calls."""
+    calls = [0]
+    original = getattr(cama.matrix, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(cama.matrix, name, wrapper)
+    return calls
+
+
 def test_vectorised_loader_matches_reference(monkeypatch):
-    fallback_rows = 0
-    parse_cells = cama.matrix._parse_cells
-
-    def counting_parse_cells(row, lineno):
-        nonlocal fallback_rows
-        fallback_rows += 1
-        return parse_cells(row, lineno)
-
-    monkeypatch.setattr(cama.matrix, "_parse_cells", counting_parse_cells)
+    fallback_rows = counting(monkeypatch, "_parse_cells")
+    split_calls = {name: counting(monkeypatch, name) for name in ("_split_lines", "_split_records")}
+    split_docs = dict.fromkeys(split_calls, 0)
     rng = random.Random(20240611)
     canonical_docs = fallback_docs = errors = loaded = 0
     for _ in range(5000):
         text = random_document(rng)
-        before = fallback_rows
+        before = fallback_rows[0]
+        split_before = {name: calls[0] for name, calls in split_calls.items()}
         got = outcome(incidence_from_csv, text)
         assert got == outcome(ref_incidence_from_csv, text), repr(text)
-        fallbacks = fallback_rows - before
+        fallbacks = fallback_rows[0] - before
         fallback_docs += fallbacks > 0
+        for name, calls in split_calls.items():
+            split_docs[name] += calls[0] > split_before[name]
         if got[0] == "matrix":
             loaded += 1
             canonical_docs += got[2][0] > fallbacks
@@ -111,6 +137,7 @@ def test_vectorised_loader_matches_reference(monkeypatch):
     assert canonical_docs >= 100
     assert fallback_docs >= 100
     assert loaded >= 1000 and errors >= 1000
+    assert split_docs["_split_lines"] >= 100 and split_docs["_split_records"] >= 100
 
 
 def test_bad_cell_reported_before_later_ragged_row():
@@ -124,3 +151,37 @@ def test_ragged_row_reported_before_later_bad_cell():
     expected = ("error", "line 3: expected 3 fields, got 2")
     assert outcome(incidence_from_csv, text) == expected
     assert outcome(ref_incidence_from_csv, text) == expected
+
+
+def splitters_used(monkeypatch, text: str) -> list[str]:
+    calls = {name: counting(monkeypatch, name) for name in ("_split_lines", "_split_records")}
+    incidence_from_csv(text)
+    return [name for name, count in calls.items() if count[0]]
+
+
+@pytest.mark.parametrize(
+    "header", ['id,"sums, products",b', 'id,"two\nlines",b', "id,ключ,数学", '"id",a,b']
+)
+def test_quoted_or_non_ascii_header_keeps_the_body_plain(monkeypatch, header):
+    text = f"{header}\nq1,0,1\n\né,1,1\n"
+    assert splitters_used(monkeypatch, text) == ["_split_lines"]
+
+
+# a NUL goes there too, since Python 3.10's csv.reader rejects it; the
+# sweep checks that on 3.10
+@pytest.mark.parametrize("body", ['q1,0,1\n"q2",1,1\n', "q1,0,1\r\nq2,1,1\r\n"])
+def test_quote_or_carriage_return_goes_to_csv_reader(monkeypatch, body):
+    assert splitters_used(monkeypatch, f"id,a,b\n{body}") == ["_split_records"]
+
+
+def test_field_size_limit_applies_only_to_csv_reader():
+    long_id = "q" * (csv.field_size_limit() + 1)
+    assert incidence_from_csv(f"id,a\n{long_id},1\n").row_ids == (long_id,)
+    with pytest.raises(ParseError, match="field larger than field limit"):
+        incidence_from_csv(f'id,a\n{long_id},1\n"q2",0\n')
+
+
+def test_unclosed_quote_is_an_error():
+    # csv.reader outside strict mode would read the rest of the file into one key
+    with pytest.raises(ParseError, match="unexpected end of data"):
+        incidence_from_csv('id,a,"b,c\nr0,1,1,1\n')
