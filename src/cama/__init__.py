@@ -11,7 +11,6 @@ from .graph import (
     verbalize,
 )
 from .model import KnowledgePoint, QaRecord, ReplacementMap, normalize_key
-from .matrix import IncidenceMatrix
 
 __all__ = [
     "IncidenceMatrix",
@@ -27,3 +26,12 @@ __all__ = [
     "serialize_graph",
     "verbalize",
 ]
+
+
+def __getattr__(name: str):
+    # the matrix module imports NumPy, which importing cama must not
+    if name == "IncidenceMatrix":
+        from .matrix import IncidenceMatrix
+
+        return IncidenceMatrix
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,14 +9,15 @@ from pathlib import Path
 
 import click
 
-from . import learning, reasoning
+from . import reasoning
 from .config import build_client, load_config
 from .errors import CamaError, ParseError
 from .graph import export_dot, load_graph, save_graph
-from .matrix import load_incidence_csv
 from .model import QaRecord, load_qa_records, save_qa_records, write_json
-from .discovery import discover_cpdag
-from .oracle import load_scenario, sample_incidence, true_cpdag
+
+# the modules that compute on an incidence matrix import NumPy, so only the
+# commands that use them import them, in their bodies: the reasoning
+# commands start without NumPy
 
 
 def _fail(error: Exception) -> None:
@@ -73,6 +74,8 @@ def main():
 @guarded
 def cmd_build_dataset(qa_file, **cfg_kwargs):
     """Generate solutions for a QA file; keep correctly answered records."""
+    from . import learning
+
     cfg = load_config(**cfg_kwargs)
     client = build_client(cfg)
     records = load_qa_records(qa_file)
@@ -89,6 +92,8 @@ def cmd_build_dataset(qa_file, **cfg_kwargs):
 @guarded
 def cmd_learn(dataset_file, **cfg_kwargs):
     """Extraction, deduplication, discovery and alignment over a dataset."""
+    from . import learning
+
     cfg = load_config(**cfg_kwargs)
     client = build_client(cfg)
     dataset = load_qa_records(dataset_file)
@@ -118,6 +123,9 @@ def cmd_learn(dataset_file, **cfg_kwargs):
 @guarded
 def cmd_discover(incidence_csv, out, **cfg_kwargs):
     """Causal discovery only, over an existing incidence matrix."""
+    from .discovery import discover_cpdag
+    from .matrix import load_incidence_csv
+
     cfg = load_config(**cfg_kwargs)
     z = load_incidence_csv(incidence_csv)
     g = discover_cpdag(z, alpha=cfg.alpha, max_cond_size=cfg.max_cond_size)
@@ -209,6 +217,8 @@ def cmd_export_dot(graph_file, out):
 @guarded
 def cmd_synth(scenario_file, rows, seed, out_dir):
     """Sample an incidence matrix and write the scenario's true CPDAG."""
+    from .oracle import load_scenario, sample_incidence, true_cpdag
+
     dag = load_scenario(scenario_file)
     z = sample_incidence(dag, rows, seed)
     out = Path(out_dir)

@@ -15,9 +15,7 @@ from .client import (
     RecordingClient,
     ScriptedChatClient,
 )
-from .discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
 from .errors import ConfigError
-from .learning import DEFAULT_GRANULARITY, AlignmentConfig
 from .model import read_text
 
 ENV_API_BASE = "CAMA_API_BASE"
@@ -25,6 +23,36 @@ ENV_API_KEY = "CAMA_API_KEY"
 ENV_MODEL = "CAMA_MODEL"
 
 MODES = ("live", "record", "replay")
+
+# the learning and discovery defaults live here, where no NumPy is imported,
+# so that loading a config costs the reasoning commands nothing
+DEFAULT_GRANULARITY = 3
+DEFAULT_ALPHA = 0.05
+DEFAULT_MAX_COND_SIZE = 8
+
+
+@dataclass(frozen=True)
+class AlignmentConfig:
+    """Knobs of the alignment loop. ``m=None`` aligns on the whole dataset."""
+
+    m: int | None = None
+    s_b: int = 5
+    n_e: int = 10
+    r: int = 7
+    c_stop: int = 3
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.s_b < 1:
+            raise ValueError("batch size s_b must be >= 1")
+        if self.n_e < 1:
+            raise ValueError("epoch count n_e must be >= 1")
+        if self.r < 0:
+            raise ValueError("history length r must be >= 0")
+        if self.c_stop < 1:
+            raise ValueError("early-stop threshold c_stop must be >= 1")
+        if self.m is not None and self.m < self.s_b:
+            raise ValueError("alignment subset size m must be >= s_b")
 
 
 @dataclass(frozen=True)

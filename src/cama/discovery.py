@@ -28,14 +28,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
 from .graph import GraphBuilder, Mcg
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_ALPHA = 0.05
-DEFAULT_MAX_COND_SIZE = 8
 
 # decision for a level's candidates at once: x (T,), y (T,), s (T, level)
 # in, True where independent out

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .client import ChatClient, ask
-from .discovery import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE, discover_cpdag
+from .config import DEFAULT_ALPHA, DEFAULT_GRANULARITY, DEFAULT_MAX_COND_SIZE, AlignmentConfig
+from .discovery import discover_cpdag
 from .errors import CamaError, ConfigError, EmptyDataset, ParseError, ReplyError
 from .graph import GraphBuilder, Mcg, graphs_equal, save_graph, verbalize
 from .matrix import IncidenceMatrix
@@ -34,37 +35,11 @@ from .reasoning import ReasoningOutcome, answer_questions, judge_exact
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_GRANULARITY = 3
-
 
 @dataclass(frozen=True)
 class ExtractionRecord:
     qa_id: str
     points: tuple[KnowledgePoint, ...]
-
-
-@dataclass(frozen=True)
-class AlignmentConfig:
-    """Knobs of the alignment loop. ``m=None`` aligns on the whole dataset."""
-
-    m: int | None = None
-    s_b: int = 5
-    n_e: int = 10
-    r: int = 7
-    c_stop: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.s_b < 1:
-            raise ValueError("batch size s_b must be >= 1")
-        if self.n_e < 1:
-            raise ValueError("epoch count n_e must be >= 1")
-        if self.r < 0:
-            raise ValueError("history length r must be >= 0")
-        if self.c_stop < 1:
-            raise ValueError("early-stop threshold c_stop must be >= 1")
-        if self.m is not None and self.m < self.s_b:
-            raise ValueError("alignment subset size m must be >= s_b")
 
 
 @dataclass

@@ -62,8 +62,8 @@ class IncidenceMatrix:
         return self.cells.shape[1]
 
     def to_csv(self) -> str:
-        """The header and each row as ``csv.writer`` writes them. The cell
-        text of all rows is built in one NumPy pass; ``csv.writer`` writes
+        """The header and each row as ``_csv_line`` writes them. The cell
+        text of all rows is built in one NumPy pass; ``_csv_line`` writes
         the header and each row whose id it would quote."""
         n, k = self.cells.shape
         # each row's cells as k (comma, digit) byte pairs and a newline
@@ -82,33 +82,37 @@ class IncidenceMatrix:
         Path(path).write_text(self.to_csv(), encoding="utf-8")
 
 
-# an id that csv.writer writes unquoted: not empty, no comma, quote or control character
+# an id that _csv_line writes unquoted: not empty, no comma, quote or control character
 _PLAIN_ID = re.compile(r'[^",\x00-\x1f]+')
 
 
 def _csv_line(fields: list) -> str:
+    """One CSV row ending in ``\\n``. ``csv.writer`` quotes a field holding a
+    character of its line terminator, so writing with ``\\r\\n`` quotes a
+    carriage return too, which a reader would otherwise take for a line end."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\r\n").writerow(fields)
+    return buf.getvalue()[:-2] + "\n"
 
 
 def incidence_from_csv(text: str) -> IncidenceMatrix:
     """Read the CSV layout ``to_csv`` writes: header ``id,<key>,...``, then one
     row per QA pair with its id and one 0/1 cell per key.
 
-    The rows are the records ``csv.reader`` reads in strict mode, so
-    quoting, CRLF line ends and blank lines behave as in any CSV file, and
-    a quote that never closes is an error rather than a field that holds
-    the rest of the file. ``csv.reader`` reads the header. The body after
-    it is split without ``csv.reader`` when it holds no ``"``, carriage
-    return or NUL: then no field is quoted and only ``\\n`` ends a record,
-    so the reader's rows are exactly the body's non-empty lines split at
-    every comma. That split runs in NumPy over the body's UTF-8 bytes, in
-    which no byte of a multi-byte character is a comma or a newline. It
-    applies no field size limit, where ``csv.reader`` rejects a field over
-    131,072 characters. Any other body is split by ``csv.reader``, which
-    on Python 3.10 also rejects a NUL. ``load_incidence_csv`` reads with
-    universal newlines, so only a quote sends a file's body there.
+    The rows are the records ``csv.reader`` reads in strict mode from a
+    file opened with ``newline=""``, so quoting, CRLF or CR line ends and
+    blank lines behave as in any CSV file, and a quote that never closes is
+    an error rather than a field that holds the rest of the file.
+    ``csv.reader`` reads the header. The body after it is split without
+    ``csv.reader`` when it holds no ``"``, carriage return or NUL: then no
+    field is quoted and only ``\\n`` ends a record, so the reader's rows are
+    exactly the body's non-empty lines split at every comma. That split
+    runs in NumPy over the body's UTF-8 bytes, in which no byte of a
+    multi-byte character is a comma or a newline. It applies no field size
+    limit, where ``csv.reader`` rejects a field over 131,072 characters.
+    Any other body is split by ``csv.reader``, which on Python 3.10 also
+    rejects a NUL. ``load_incidence_csv`` reads the line ends of a file
+    without quotes as ``\\n``, so only a quote sends a file's body there.
 
     Rows whose cells are all exactly ``0`` or ``1`` (the canonical form
     ``to_csv`` writes) are converted and range-checked together in one
@@ -116,12 +120,15 @@ def incidence_from_csv(text: str) -> IncidenceMatrix:
     cell that ``int()`` reads as 0 or 1 (``01``, `` 1``, ``+0``, ``-0``) is
     still accepted.
 
-    Raises ``ParseError`` for a record ``csv.reader`` cannot read and for
+    Raises ``ParseError`` for a byte-order mark at the start of ``text``
+    (as ``read_json`` does), for a record ``csv.reader`` cannot read and for
     the first bad row in file order: a row with the wrong number of fields,
     a cell ``int()`` rejects, or a value other than 0 or 1. The message
     names the row's line, counting the header as line 1 and skipping blank
     lines (a quoted field that spans lines counts once).
     """
+    if text.startswith("\ufeff"):  # as read_json refuses it
+        raise ParseError("invalid incidence CSV: Unexpected UTF-8 BOM", position=0)
     reader = csv.reader(_lines(text), strict=True)
     records = _records(reader)
     header = next(records, None)
@@ -160,13 +167,19 @@ def incidence_from_csv(text: str) -> IncidenceMatrix:
 
 
 def _lines(text: str):
-    """The lines of ``text``, each with its ``\\n``. io.StringIO splits them
-    so too, but holds a 4-byte-per-character copy of ``text``."""
-    start = 0
+    """The lines of ``text``, each with its line end, as a file opened with
+    ``newline=""`` yields them to ``csv.reader``: ``\\r\\n``, ``\\r`` and
+    ``\\n`` each end one. io.StringIO splits them so too, but holds a
+    4-byte-per-character copy of ``text``."""
+    start = end = 0
     while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
-        start = end
+        if end <= start:  # the next \n, found once for the lines before it
+            end = text.find("\n", start) + 1 or len(text)
+        # a \r that no \n follows ends a line of its own
+        cr = text.find("\r", start, end - 1)
+        stop = cr + 1 if cr != -1 and text[cr + 1] != "\n" else end
+        yield text[start:stop]
+        start = stop
 
 
 def _records(reader):
@@ -227,4 +240,12 @@ def _parse_cells(row: list[str], lineno: int) -> list[int]:
 
 
 def load_incidence_csv(path: str | Path) -> IncidenceMatrix:
-    return incidence_from_csv(read_text(path, "incidence CSV"))
+    """The matrix of a CSV file as ``incidence_from_csv`` reads its text.
+
+    Line ends are read as written, so a carriage return in a quoted id or
+    key loads back. A file with no quote has no field that holds one, and
+    reading its line ends as ``\\n`` keeps its body on the plain path."""
+    text = read_text(path, "incidence CSV", newline="")
+    if "\r" in text and '"' not in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return incidence_from_csv(text)

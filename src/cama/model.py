@@ -110,27 +110,37 @@ def read_json(data: str | bytes, what: str):
 
     A key repeated within one object and the constants NaN, Infinity and
     -Infinity are refused, where ``json.loads`` alone would keep the last
-    value or load a non-finite float. Every failure is a ParseError naming
-    ``what``.
+    value or load a non-finite float. So is a ``\\u`` escape of a surrogate
+    that no escape next to it pairs with: it decodes to a lone surrogate,
+    which no UTF-8 text holds and no writer can encode. Every failure is a
+    ParseError naming ``what``.
     """
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         if text.startswith("\ufeff"):  # as json.loads refuses it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _DECODER.decode(text)
+        doc = _DECODER.decode(text)
+        if "\\u" in text:  # only an escape decodes to a lone surrogate
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
     except UnicodeDecodeError as e:
         raise ParseError(f"invalid {what}: not UTF-8 text", position=e.start) from e
+    except UnicodeEncodeError as e:
+        lone = f"U+{ord(e.object[e.start]):04X}"
+        raise ParseError(f"invalid {what}: an escape decodes to the lone surrogate {lone}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid {what}: {e.msg}", position=e.pos) from e
     except ValueError as e:
         raise ParseError(f"invalid {what}: {e}") from e
 
 
-def read_text(path: str | Path, what: str) -> str:
-    """The text of input file ``path``, read as UTF-8 with universal newlines.
-    Other bytes are a ParseError naming ``what``, as in ``read_json``."""
+def read_text(path: str | Path, what: str, newline: str | None = None) -> str:
+    """The text of input file ``path``, read as UTF-8 with ``open``'s
+    ``newline`` (universal newlines by default). Other bytes are a
+    ParseError naming ``what``, as in ``read_json``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"invalid {what}: not UTF-8 text", position=e.start) from e
 

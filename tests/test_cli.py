@@ -868,7 +868,7 @@ def discover_csv(text: str):
         z.save_csv("loaded.csv")
         return z
 
-    with mock.patch("cama.cli.load_incidence_csv", load_and_save):
+    with mock.patch("cama.matrix.load_incidence_csv", load_and_save):
         return run_on_document(
             text, lambda document, out: ["discover", document, "--out", "graph.json"],
             ["graph.json", "loaded.csv"],
@@ -1073,6 +1073,19 @@ class TestLoaderErrors:
         error = error_line(runner.invoke(main, args_of(tmp_path)))
         assert error["error"] == "ParseError"
         assert "not UTF-8 text" in error["message"]
+
+    def test_lone_surrogate_in_a_question_is_a_parse_error(self, runner, tmp_path):
+        args = evaluate_replay_args(tmp_path, b"")
+        (tmp_path / "test.json").write_text(
+            '[{"id": "q01", "question": "x \\ud800", "answer": "1"}]', encoding="utf-8"
+        )
+        result = runner.invoke(main, args)
+        assert error_line(result) == {
+            "error": "ParseError",
+            "message": f"invalid QA file {tmp_path / 'test.json'}: "
+            "an escape decodes to the lone surrogate U+D800",
+        }
+        assert len(result.output.strip().splitlines()) == 1
 
     def test_non_string_transcript_response_is_a_parse_error(
         self, runner, tmp_path, no_network

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cama.errors import ParseError
-from cama.matrix import IncidenceMatrix, incidence_from_csv, load_incidence_csv
+from cama.matrix import IncidenceMatrix, _lines, incidence_from_csv, load_incidence_csv
 
 
 def small_matrix() -> IncidenceMatrix:
@@ -92,6 +92,33 @@ class TestCsvRoundTrip:
         z.save_csv(tmp_path / "z.csv")
         assert (load_incidence_csv(tmp_path / "z.csv").cells == z.cells).all()
 
+    # a line end or a field end inside an id or a key
+    @pytest.mark.parametrize("text", ["a\rb", "\r", "a\r\nb", "a\nb", "a,b", 'say "hi"', '"', "é"])
+    def test_file_round_trip_of_ids_and_keys(self, tmp_path, text):
+        z = IncidenceMatrix(cells=[[1, 0], [0, 1]], row_ids=(text, "q2"), col_keys=(text, "k"))
+        z.save_csv(tmp_path / "z.csv")
+        again = load_incidence_csv(tmp_path / "z.csv")
+        assert (again.row_ids, again.col_keys) == (z.row_ids, z.col_keys)
+        assert np.array_equal(again.cells, z.cells)
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_quoted_file_with_cr_line_ends(self, tmp_path, newline):
+        (tmp_path / "z.csv").write_bytes(f'id,a{newline}"q,1",1{newline}q2,0'.encode())
+        again = load_incidence_csv(tmp_path / "z.csv")
+        assert (again.row_ids, again.cells.tolist()) == (("q,1", "q2"), [[1], [0]])
+
+    def test_lines_split_as_a_file_opened_with_no_newline_translation(self):
+        rng = random.Random(5)
+        for _ in range(20_000):
+            text = "".join(rng.choices(["a", ",", '"', "\r", "\n", "\r\n"], k=rng.randint(0, 10)))
+            assert list(_lines(text)) == list(io.StringIO(text, newline="")), repr(text)
+
+    def test_byte_order_mark_named(self, tmp_path):
+        (tmp_path / "z.csv").write_text("id,a\nq1,1\n", encoding="utf-8-sig")
+        message = r"^invalid incidence CSV: Unexpected UTF-8 BOM \(position 0\)$"
+        with pytest.raises(ParseError, match=message):
+            load_incidence_csv(tmp_path / "z.csv")
+
     def test_large_round_trip(self):
         rng = np.random.default_rng(7)
         z = IncidenceMatrix(
@@ -128,13 +155,16 @@ class TestCsvRoundTrip:
 
 
 def writer_csv(z: IncidenceMatrix) -> str:
-    """What ``to_csv`` wrote when it called ``csv.writer`` on every row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", *z.col_keys])
-    for rid, row in zip(z.row_ids, z.cells):
-        writer.writerow([rid, *(int(x) for x in row)])
-    return buf.getvalue()
+    """Each row as ``csv.writer`` writes it with a ``\\r\\n`` line terminator,
+    which quotes a field holding ``\\r`` as well as one holding ``\\n``,
+    then ended by ``\\n``."""
+    rows = [["id", *z.col_keys], *([rid, *map(int, row)] for rid, row in zip(z.row_ids, z.cells))]
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines)
 
 
 # pieces of ids and keys: commas, quotes, line ends, NUL, non-ASCII, nothing

@@ -69,6 +69,13 @@ class TestReadJson:
             with pytest.raises(ParseError, match=message):
                 read_json(data, "doc")
 
+    def test_lone_surrogate_escape_rejected(self):
+        # a pair decodes to one character; an escaped backslash starts no escape
+        assert read_json(r'["\ud83d\ude00", "\\ud800"]', "doc") == ["\U0001f600", "\\ud800"]
+        for text in (r'{"q": "\ud800x"}', r'["\uDFFF"]', r'{"\ud83d": 1}', r'["\ude00\ud83d"]'):
+            with pytest.raises(ParseError, match=r"^invalid doc: an escape decodes to the lone"):
+                read_json(text.encode(), "doc")
+
     def test_bytes_must_be_utf8(self):
         assert read_json('{"k": "é"}'.encode(), "doc") == {"k": "é"}
         with pytest.raises(ParseError, match="not UTF-8") as err:
