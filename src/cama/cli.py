@@ -13,7 +13,7 @@ from . import reasoning
 from .config import build_client, load_config
 from .errors import CamaError, ParseError
 from .graph import export_dot, load_graph, save_graph
-from .model import QaRecord, load_qa_records, save_qa_records, write_json
+from .model import QaRecord, load_qa_records, save_qa_records, write_atomic, write_json
 
 # the modules that compute on an incidence matrix import NumPy, so only the
 # commands that use them import them, in their bodies: the reasoning
@@ -204,7 +204,7 @@ def cmd_export_dot(graph_file, out):
     """Write a Graphviz DOT rendering of a graph file."""
     g = load_graph(graph_file)
     path = Path(out) if out else Path(graph_file).with_suffix(".dot")
-    path.write_text(export_dot(g), encoding="utf-8")
+    write_atomic(path, export_dot(g))
     click.echo(str(path))
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import logging
 import math
 import random
@@ -297,9 +296,8 @@ class HttpChatClient:
     @staticmethod
     def _extract_content(body: str) -> str:
         try:
-            doc = json.loads(body)
-            content = doc["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as e:
+            content = read_json(body, "JSON")["choices"][0]["message"]["content"]
+        except (ParseError, KeyError, IndexError, TypeError) as e:
             raise TransportError(f"malformed completion response: {e}") from e
         if not isinstance(content, str):
             raise TransportError("completion content is not text")

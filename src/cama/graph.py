@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import ParseError
-from .model import KnowledgePoint, json_list, json_text, read_json
+from .model import KnowledgePoint, json_list, json_text, read_json, write_atomic
 
 GRAPH_FORMAT_VERSION = 1
 
@@ -339,7 +339,7 @@ def load_graph(path) -> Mcg:
 
 
 def save_graph(g: Mcg, path) -> None:
-    Path(path).write_text(serialize_graph(g), encoding="utf-8")
+    write_atomic(path, serialize_graph(g))
 
 
 def _dot_quote(label: str) -> str:

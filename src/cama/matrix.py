@@ -6,14 +6,13 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError
-from .model import read_text
+from .model import read_text, write_atomic
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class IncidenceMatrix:
         )
 
     def save_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
+        write_atomic(path, self.to_csv())
 
 
 # an id that _csv_line writes unquoted: not empty, no comma, quote or control character
@@ -99,26 +98,26 @@ def incidence_from_csv(text: str) -> IncidenceMatrix:
     """Read the CSV layout ``to_csv`` writes: header ``id,<key>,...``, then one
     row per QA pair with its id and one 0/1 cell per key.
 
-    The rows are the records ``csv.reader`` reads in strict mode from a
-    file opened with ``newline=""``, so quoting, CRLF or CR line ends and
-    blank lines behave as in any CSV file, and a quote that never closes is
-    an error rather than a field that holds the rest of the file.
-    ``csv.reader`` reads the header. The body after it is split without
-    ``csv.reader`` when it holds no ``"``, carriage return or NUL: then no
-    field is quoted and only ``\\n`` ends a record, so the reader's rows are
-    exactly the body's non-empty lines split at every comma. That split
-    runs in NumPy over the body's UTF-8 bytes, in which no byte of a
-    multi-byte character is a comma or a newline. It applies no field size
-    limit, where ``csv.reader`` rejects a field over 131,072 characters.
-    Any other body is split by ``csv.reader``, which on Python 3.10 also
-    rejects a NUL. ``load_incidence_csv`` reads the line ends of a file
-    without quotes as ``\\n``, so only a quote sends a file's body there.
+    The rows are the non-empty records ``csv.reader`` reads in strict mode
+    from a file opened with ``newline=""``, so quoting, CRLF or CR line ends
+    and blank lines behave as in any CSV file, and a quote that never closes
+    is an error rather than a field that holds the rest of the file.
 
-    Rows whose cells are all exactly ``0`` or ``1`` (the canonical form
-    ``to_csv`` writes) are converted and range-checked together in one
-    NumPy pass. Any other row is parsed cell by cell with ``int()``, so a
-    cell that ``int()`` reads as 0 or 1 (``01``, `` 1``, ``+0``, ``-0``) is
-    still accepted.
+    One reader takes the whole text. A text with no ``"``, carriage return or
+    NUL has no quoted field and only ``\\n`` ends a record, so its records
+    are exactly its non-empty lines split at every comma: the header is the
+    first of them, and the rest are split in one NumPy pass over their UTF-8
+    bytes, in which no byte of a multi-byte character is a comma or a
+    newline. That pass applies no field size limit. Any other text is read
+    by ``csv.reader``, which rejects a field over 131,072 characters and, on
+    Python 3.10, a NUL. ``load_incidence_csv`` reads the line ends of a file
+    without quotes as ``\\n``, so only a quote sends a file to ``csv.reader``.
+
+    On the NumPy pass, rows whose cells are all exactly ``0`` or ``1`` (the
+    canonical form ``to_csv`` writes) are converted and range-checked
+    together. Any other row, and every row ``csv.reader`` reads, is parsed
+    cell by cell with ``int()``, so a cell that ``int()`` reads as 0 or 1
+    (``01``, `` 1``, ``+0``, ``-0``) is still accepted.
 
     Raises ``ParseError`` for a byte-order mark at the start of ``text``
     (as ``read_json`` does), for a record ``csv.reader`` cannot read and for
@@ -129,9 +128,13 @@ def incidence_from_csv(text: str) -> IncidenceMatrix:
     """
     if text.startswith("\ufeff"):  # as read_json refuses it
         raise ParseError("invalid incidence CSV: Unexpected UTF-8 BOM", position=0)
-    reader = csv.reader(_lines(text), strict=True)
-    records = _records(reader)
-    header = next(records, None)
+    plain = not ('"' in text or "\r" in text or "\0" in text)
+    if plain:
+        first, _, body = text.lstrip("\n").partition("\n")
+        header = first.split(",") if first else None
+    else:
+        rows = _csv_rows(text)
+        header = rows.pop(0) if rows else None
     if header is None:
         raise ParseError("incidence CSV is empty")
     if header[0] != "id":
@@ -139,61 +142,30 @@ def incidence_from_csv(text: str) -> IncidenceMatrix:
     col_keys = header[1:]
     if not col_keys:
         raise ParseError("incidence CSV has no knowledge-point columns")
-    width, k = len(header), len(col_keys)
-    # the header and any blank lines before it are the first line_num lines
-    body = text[sum(map(len, islice(_lines(text), reader.line_num))) :]
-    if '"' in body or "\r" in body or "\0" in body:
-        row_ids, fields, fits, pairs, row_at = _split_records(list(records), k)
+    if plain:
+        row_ids, cells = _split_lines(body, len(header))
     else:
-        row_ids, fields, fits, pairs, row_at = _split_lines(body, k)
-    # rows past the first ragged one are never read: its error comes first
-    ragged = np.flatnonzero(fields != width)
-    n = int(ragged[0]) if len(ragged) else len(fields)
-    # pairs holds the last 2k bytes of each row that fits. Read as
-    # little-endian (comma, digit) pairs, a canonical row's are all
-    # "," | "0" << 8 or "," | "1" << 8
-    canonical = np.zeros(len(fields), dtype=bool)
-    canonical[fits] = ((pairs.view("<u2") | 0x100) == ord(",") | ord("1") << 8).all(axis=1)
-    cells = np.empty((len(fields), k), dtype=np.uint8)
-    cells[fits] = pairs[:, 1::2] - ord("0")
-    for i in np.flatnonzero(~canonical[:n]).tolist():
-        cells[i] = _parse_cells(row_at(i), i + 2)
-    if n < len(fields):
-        raise ParseError(f"line {n + 2}: expected {width} fields, got {fields[n]}")
+        cells = np.empty((len(rows), len(col_keys)), dtype=np.uint8)
+        for i, row in enumerate(rows):
+            cells[i] = _parse_cells(row, len(header), i + 2)
+        row_ids = [row[0] for row in rows]
     try:
         return IncidenceMatrix(cells=cells, row_ids=tuple(row_ids), col_keys=tuple(col_keys))
     except ValueError as e:  # a repeated column key
         raise ParseError(f"invalid incidence CSV: {e}") from e
 
 
-def _lines(text: str):
-    """The lines of ``text``, each with its line end, as a file opened with
-    ``newline=""`` yields them to ``csv.reader``: ``\\r\\n``, ``\\r`` and
-    ``\\n`` each end one. io.StringIO splits them so too, but holds a
-    4-byte-per-character copy of ``text``."""
-    start = end = 0
-    while start < len(text):
-        if end <= start:  # the next \n, found once for the lines before it
-            end = text.find("\n", start) + 1 or len(text)
-        # a \r that no \n follows ends a line of its own
-        cr = text.find("\r", start, end - 1)
-        stop = cr + 1 if cr != -1 and text[cr + 1] != "\n" else end
-        yield text[start:stop]
-        start = stop
-
-
-def _records(reader):
-    """The non-empty rows of ``reader``; a record it cannot read is a ParseError."""
+def _csv_rows(text: str) -> list[list[str]]:
+    """The non-empty records of ``text``; one ``csv.reader`` cannot read is a ParseError."""
     try:
-        yield from filter(None, reader)
+        return list(filter(None, csv.reader(io.StringIO(text, newline=""), strict=True)))
     except csv.Error as e:  # an unclosed quote, a field over the size limit
         raise ParseError(f"invalid incidence CSV: {e}") from e
 
 
-def _split_lines(body: str, k: int):
-    """(row ids, field counts, which rows fit, their last 2k bytes, row
-    accessor) of a body with no quote, carriage return or NUL: its
-    non-empty lines split at every comma."""
+def _split_lines(body: str, width: int):
+    """Row ids and cells of a body with no quote, carriage return or NUL:
+    its non-empty lines split at every comma, each ``width`` fields long."""
     raw = body.encode()
     data = np.frombuffer(raw, dtype=np.uint8)
     breaks = np.flatnonzero(data == ord("\n"))
@@ -204,32 +176,32 @@ def _split_lines(body: str, k: int):
     # a line of L bytes holds at most L commas, so the sum cannot overflow
     count_type = np.min_scalar_type((ends - starts).max(initial=0))
     fields = np.add.reduceat(data == ord(","), starts, dtype=count_type).astype(np.intp) + 1
-    # a row that fits has k + 1 fields and room for k (comma, digit) pairs
-    # after its id: with exactly k commas, those pairs hold all of them
+    # a row that fits has all its fields and room for k (comma, digit)
+    # pairs after its id: with exactly k commas, those pairs hold all of them
+    k = width - 1
     tails = ends - 2 * k
-    fits = (fields == k + 1) & (tails >= starts)
-    pairs = np.empty((0, 2 * k), dtype=np.uint8)
+    fits = (fields == width) & (tails >= starts)
+    cells = np.empty((len(fields), k), dtype=np.uint8)
+    canonical = np.zeros(len(fields), dtype=bool)
     if fits.any():  # then data holds at least 2k bytes
         pairs = sliding_window_view(data, 2 * k)[tails[fits]]
-    row_ids = [line.partition(",")[0] for line in body.split("\n") if line]
-    return row_ids, fields, fits, pairs, lambda i: raw[starts[i] : ends[i]].decode().split(",")
+        # read as little-endian (comma, digit) pairs, a canonical row's
+        # are all "," | "0" << 8 or "," | "1" << 8
+        canonical[fits] = ((pairs.view("<u2") | 0x100) == ord(",") | ord("1") << 8).all(axis=1)
+        cells[fits] = pairs[:, 1::2] - ord("0")
+    # a ragged row is never canonical, so _parse_cells raises its error;
+    # rows past the first one are never read, as its error comes first
+    ragged = np.flatnonzero(fields != width)
+    stop = int(ragged[0]) + 1 if len(ragged) else len(fields)
+    for i in np.flatnonzero(~canonical[:stop]).tolist():
+        cells[i] = _parse_cells(raw[starts[i] : ends[i]].decode().split(","), width, i + 2)
+    return [line.partition(",")[0] for line in body.split("\n") if line], cells
 
 
-def _split_records(rows: list[list[str]], k: int):
-    """What ``_split_lines`` returns, for rows ``csv.reader`` split."""
-    fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    texts = [",".join(row[1:]) for row in rows]
-    # a canonical row's cells join to 2k - 1 characters; non-ASCII
-    # characters become one "?" byte each, which is no digit
-    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(rows))
-    fits = (fields == k + 1) & (lengths == 2 * k - 1)
-    joined = "".join("," + t for t in compress(texts, fits))
-    pairs = np.frombuffer(joined.encode("ascii", "replace"), dtype=np.uint8).reshape(-1, 2 * k)
-    return [row[0] for row in rows], fields, fits, pairs, rows.__getitem__
-
-
-def _parse_cells(row: list[str], lineno: int) -> list[int]:
-    """Cells of a row that is not canonical, read with ``int()``."""
+def _parse_cells(row: list[str], width: int, lineno: int) -> list[int]:
+    """Cells of a row of ``width`` fields, read with ``int()``."""
+    if len(row) != width:
+        raise ParseError(f"line {lineno}: expected {width} fields, got {len(row)}")
     try:
         values = [int(x) for x in row[1:]]
     except ValueError as e:
@@ -244,7 +216,7 @@ def load_incidence_csv(path: str | Path) -> IncidenceMatrix:
 
     Line ends are read as written, so a carriage return in a quoted id or
     key loads back. A file with no quote has no field that holds one, and
-    reading its line ends as ``\\n`` keeps its body on the plain path."""
+    reading its line ends as ``\\n`` keeps it on the NumPy pass."""
     text = read_text(path, "incidence CSV", newline="")
     if "\r" in text and '"' not in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -158,8 +159,22 @@ def json_text(doc) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 through a temporary file in the
+    same directory, then ``os.replace``: a write that fails or is cut off
+    leaves the old file, or none, and no temporary file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path: str | Path, doc) -> None:
-    Path(path).write_text(json_text(doc), encoding="utf-8")
+    write_atomic(path, json_text(doc))
 
 
 def json_line(doc) -> str:

@@ -270,6 +270,21 @@ class TestHttpClient:
         with pytest.raises(TransportError):
             self.client(weird).complete(ChatRequest(prompt="q", tag="p_t"))
 
+    # a lone surrogate has no UTF-8 form, so no transcript or artifact could hold it
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"choices": [{"message": {"content": "a\\ud800b"}}]}',
+            '{"choices": [{"message": {"content": "a"}}], "choices": []}',
+            '{"choices": [{"message": {"content": NaN}}]}',
+            "not json",
+        ],
+    )
+    def test_body_read_json_refuses_is_transport_error(self, body):
+        client = self.client(lambda url, headers, payload, timeout: (200, body))
+        with pytest.raises(TransportError, match="^malformed completion response: invalid JSON"):
+            client.complete(ChatRequest(prompt="q", tag="p_t"))
+
 
 class TestCompleteAll:
     LIMIT = 3
@@ -318,6 +333,20 @@ class TestCompleteAll:
             entry("p_t", f"req-{i}", f"resp-req-{i}") for i in range(8) if i != 4
         ]
         assert state["peak"] > 1
+
+    def test_recording_keeps_the_batch_around_a_lone_surrogate_reply(self, tmp_path):
+        def transport(url, headers, payload, timeout):
+            prompt = payload["messages"][0]["content"]
+            if prompt == "req-1":
+                return 200, '{"choices": [{"message": {"content": "\\ud800"}}]}'
+            return 200, ok_body(f"resp-{prompt}")
+
+        client = HttpChatClient(api_base="http://api.test", model="m", transport=transport)
+        path = tmp_path / "rec.jsonl"
+        results = complete_all(RecordingClient(client, path), self.requests()[:3])
+        assert results[::2] == ["resp-req-0", "resp-req-2"]
+        assert isinstance(results[1], TransportError)
+        assert load_transcript(path) == [entry("p_t", f"req-{i}", f"resp-req-{i}") for i in (0, 2)]
 
     def test_plain_client_called_in_order(self):
         scripted = ScriptedChatClient(

@@ -8,7 +8,7 @@ id, CRLF, header-only documents, a missing final newline, a quote that
 first appears in the last row) the vectorised loader must give the same
 cells, row ids and column keys, or raise the same error with the same
 message. The sweep must reach its canonical pass and its per-row
-fallback, and split bodies both as plain lines and with ``csv.reader``.
+fallback, and read texts both as plain lines and with ``csv.reader``.
 """
 
 import csv
@@ -115,7 +115,7 @@ def counting(monkeypatch, name: str) -> list[int]:
 
 def test_vectorised_loader_matches_reference(monkeypatch):
     fallback_rows = counting(monkeypatch, "_parse_cells")
-    split_calls = {name: counting(monkeypatch, name) for name in ("_split_lines", "_split_records")}
+    split_calls = {name: counting(monkeypatch, name) for name in ("_split_lines", "_csv_rows")}
     split_docs = dict.fromkeys(split_calls, 0)
     rng = random.Random(20240611)
     canonical_docs = fallback_docs = errors = loaded = 0
@@ -137,7 +137,7 @@ def test_vectorised_loader_matches_reference(monkeypatch):
     assert canonical_docs >= 100
     assert fallback_docs >= 100
     assert loaded >= 1000 and errors >= 1000
-    assert split_docs["_split_lines"] >= 100 and split_docs["_split_records"] >= 100
+    assert split_docs["_split_lines"] >= 100 and split_docs["_csv_rows"] >= 100
 
 
 def test_bad_cell_reported_before_later_ragged_row():
@@ -154,16 +154,13 @@ def test_ragged_row_reported_before_later_bad_cell():
 
 
 def splitters_used(monkeypatch, text: str) -> list[str]:
-    calls = {name: counting(monkeypatch, name) for name in ("_split_lines", "_split_records")}
+    calls = {name: counting(monkeypatch, name) for name in ("_split_lines", "_csv_rows")}
     incidence_from_csv(text)
     return [name for name, count in calls.items() if count[0]]
 
 
-@pytest.mark.parametrize(
-    "header", ['id,"sums, products",b', 'id,"two\nlines",b', "id,ключ,数学", '"id",a,b']
-)
-def test_quoted_or_non_ascii_header_keeps_the_body_plain(monkeypatch, header):
-    text = f"{header}\nq1,0,1\n\né,1,1\n"
+def test_non_ascii_text_stays_plain(monkeypatch):
+    text = "id,ключ,数学\nq1,0,1\n\né,1,1\n"
     assert splitters_used(monkeypatch, text) == ["_split_lines"]
 
 
@@ -171,14 +168,20 @@ def test_quoted_or_non_ascii_header_keeps_the_body_plain(monkeypatch, header):
 # sweep checks that on 3.10
 @pytest.mark.parametrize("body", ['q1,0,1\n"q2",1,1\n', "q1,0,1\r\nq2,1,1\r\n"])
 def test_quote_or_carriage_return_goes_to_csv_reader(monkeypatch, body):
-    assert splitters_used(monkeypatch, f"id,a,b\n{body}") == ["_split_records"]
+    assert splitters_used(monkeypatch, f"id,a,b\n{body}") == ["_csv_rows"]
+
+
+@pytest.mark.parametrize("header", ['id,"sums, products",b', 'id,"two\nlines",b', '"id",a,b'])
+def test_quoted_header_goes_to_csv_reader(monkeypatch, header):
+    assert splitters_used(monkeypatch, f"{header}\nq1,0,1\n\né,1,1\n") == ["_csv_rows"]
 
 
 def test_field_size_limit_applies_only_to_csv_reader():
     long_id = "q" * (csv.field_size_limit() + 1)
     assert incidence_from_csv(f"id,a\n{long_id},1\n").row_ids == (long_id,)
-    with pytest.raises(ParseError, match="field larger than field limit"):
-        incidence_from_csv(f'id,a\n{long_id},1\n"q2",0\n')
+    for text in (f'id,a\n{long_id},1\n"q2",0\n', f'"id",a\n{long_id},1\n'):
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            incidence_from_csv(text)
 
 
 def test_unclosed_quote_is_an_error():

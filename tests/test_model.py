@@ -1,10 +1,13 @@
 import json
+import os
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cama.errors import ParseError
+from cama.graph import Mcg, save_graph
+from cama.matrix import IncidenceMatrix
 from cama.model import (
     KnowledgePoint,
     QaRecord,
@@ -12,6 +15,8 @@ from cama.model import (
     load_qa_records,
     normalize_key,
     read_json,
+    write_atomic,
+    write_json,
 )
 
 
@@ -154,3 +159,44 @@ class TestReplacementMap:
     def test_self_replacement_rejected(self):
         with pytest.raises(ValueError):
             ReplacementMap({"a": "A"})
+
+
+# each artifact writer, given a string it writes into its document
+WRITERS = {
+    "write_json": lambda path, text: write_json(path, {"k": text}),
+    "save_graph": lambda path, text: save_graph(Mcg(nodes=(KnowledgePoint(text),)), path),
+    "save_csv": lambda path, text: IncidenceMatrix(
+        cells=[[1]], row_ids=(text,), col_keys=("a",)
+    ).save_csv(path),
+}
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_write_keeps_the_old_file(self, tmp_path, writer):
+        path = tmp_path / "artifact"
+        WRITERS[writer](path, "old")
+        old = path.read_bytes()
+        # a lone surrogate has no UTF-8 form: the encoder stops the write
+        with pytest.raises(UnicodeEncodeError):
+            WRITERS[writer](path, "new \ud800")
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_interrupt_before_the_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "artifact"
+        write_atomic(path, "old")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(path, "new")
+        assert path.read_text(encoding="utf-8") == "old"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_new_file_written(self, tmp_path):
+        write_atomic(tmp_path / "artifact", "é\n")
+        assert (tmp_path / "artifact").read_bytes() == "é\n".encode()
+        assert len(list(tmp_path.iterdir())) == 1
