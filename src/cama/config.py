@@ -29,6 +29,8 @@ MODES = ("live", "record", "replay")
 DEFAULT_GRANULARITY = 3
 DEFAULT_ALPHA = 0.05
 DEFAULT_MAX_COND_SIZE = 8
+# the largest conditioning set the G-squared test takes
+G_SQUARED_MAX_COND_SIZE = 30
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,8 @@ class Config:
             raise ConfigError("temperature must be finite and >= 0")
         if self.in_flight_limit < 1:
             raise ConfigError("in_flight_limit must be >= 1")
-        if self.max_cond_size < 0:
-            raise ConfigError("max_cond_size must be >= 0")
+        if not 0 <= self.max_cond_size <= G_SQUARED_MAX_COND_SIZE:
+            raise ConfigError(f"max_cond_size must lie in [0, {G_SQUARED_MAX_COND_SIZE}]")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
         if self.transcript_mode not in MODES:

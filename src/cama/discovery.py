@@ -14,9 +14,12 @@ every pair still adjacent for its r-th candidate conditioning set, and one
 call of the decision answers all of those tests. A pair leaves at its
 first independent candidate, so the tests asked and the sepsets are those
 of a one-at-a-time search. With G-squared a batch is one kernel for any
-|S|: the columns are packed into bit words once per discovery, each
-stratum of S is a mask of ANDed packed columns, and each cell of its 2x2
-table is a popcount.
+|S|. Once per discovery the columns are packed into bit words and each
+column and each pair of columns has its rows with 1 counted. A test's
+tables come by inclusion-exclusion from the counts of rows where a subset
+of its columns is all 1: subsets of one or two columns are looked up, and
+only larger ones are popcounts of ANDed packed columns. A test given no
+column reads no packed word, and a test given one column reads one.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE
+from .config import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE, G_SQUARED_MAX_COND_SIZE
 from .graph import GraphBuilder, Mcg
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint
@@ -67,6 +70,14 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
 
 
+def _check_cond_size(size: int) -> None:
+    # past this many conditioning columns a stratum code outgrows 32 bits
+    if size > G_SQUARED_MAX_COND_SIZE:
+        raise ValueError(
+            f"conditioning set of size {size} exceeds {G_SQUARED_MAX_COND_SIZE}"
+        )
+
+
 def g_squared_ci_test(
     z: IncidenceMatrix, x: int, y: int, s: Sequence[int] | frozenset, alpha: float
 ) -> CiTestResult:
@@ -83,8 +94,7 @@ def g_squared_ci_test(
     if x == y or x in s or y in s:
         raise ValueError("x, y, and s must be distinct")
     _check_alpha(alpha)
-    if len(s) > 30:
-        raise ValueError(f"conditioning set of size {len(s)} exceeds 30")
+    _check_cond_size(len(s))
     statistic, dof = _g_squared(_bincount_tables(z.cells, x, y, sorted(s)))
     p_value = chi2_sf(statistic, dof)
     return CiTestResult(
@@ -169,83 +179,123 @@ def _independent(statistic: np.ndarray, dof: np.ndarray, alpha: float) -> np.nda
     return decided
 
 
-def _bit_columns(cells: np.ndarray) -> np.ndarray:
-    """Each column of a 0/1 matrix packed into 64-bit words, shape (k, words);
-    the padding bits are 0."""
+class _Packed(NamedTuple):
+    """The columns of a 0/1 matrix packed into 64-bit words, shape (k,
+    words) with padding bits 0, and their co-occurrence counts: ``ones[i]``
+    rows have column i set and ``both[i, j]`` have columns i and j set."""
+
+    words: np.ndarray
+    ones: np.ndarray
+    both: np.ndarray
+
+
+def _pack(cells: np.ndarray) -> _Packed:
+    """Pack the columns of ``cells`` and count them alone and in pairs."""
     packed = np.packbits(cells.T, axis=1)
     packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
-    return packed.view(np.uint64)
+    words = packed.view(np.uint64)
+    both = np.empty((len(words), len(words)), dtype=np.int64)
+    for i, column in enumerate(words):
+        both[i, i:] = both[i:, i] = _popcount(words[i:] & column)
+    return _Packed(words, both.diagonal().copy(), both)
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def _mask_tables(
-    words: np.ndarray, valid: np.ndarray, x: np.ndarray, y: np.ndarray, s: np.ndarray
+def _cooccurrence_tables(
+    packed: _Packed, rows: int, x: np.ndarray, y: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
-    """(T, 2**l, 2, 2) tables of T tests from packed columns, s of shape
-    (T, l) with sorted rows.
+    """(T, 2**l, 2, 2) tables of T tests, s of shape (T, l) with sorted rows.
 
-    Stratum j of a test is the AND over i of the i-th column of s where
-    bit i of j is set and of its complement where it is not, so the strata
-    are in ``_bincount_tables``' order. The masks start from ``valid``, the
-    first ``rows`` bits, so no padding bit enters a stratum. A cell count
-    is the popcount of the stratum mask ANDed with x, y, both or neither.
+    A test has the m = l + 2 columns y, x, s_0, ..., s_{l-1}, column p
+    standing for bit p of a subset index u. ``counts[t, u]`` first counts
+    the rows where every column of u is 1: ``rows`` for no column, ``ones``
+    for one and ``both`` for two, so no packed word is read for these. A
+    set of three or more is the AND of a smaller set's words with its
+    highest column, popcounted. Inclusion-exclusion along each bit (the
+    count at 0 minus the count at 1) then leaves the rows where exactly
+    the columns of u are 1, which is ``_bincount_tables``' order of
+    stratum, x and y. Padding bits are 0 in every column, and every AND
+    holds a column, so none enters a count.
     """
-    bx, by = words[x][:, None], words[y][:, None]
-    masks = np.broadcast_to(valid, (len(x), 1, valid.shape[-1]))
-    for i in range(s.shape[1]):
-        ones = masks & words[s[:, i]][:, None]
-        masks = np.concatenate([masks ^ ones, ones], axis=1)
-    with_x = masks & bx
-    n, nx = _popcount(masks), _popcount(with_x)
-    ny, nxy = _popcount(masks & by), _popcount(with_x & by)
-    cells = np.stack([n - nx - ny + nxy, ny - nxy, nx - nxy, nxy], axis=-1)
-    return cells.reshape(len(x), -1, 2, 2)
+    cols = np.column_stack([y, x, s])
+    tests, m = cols.shape
+    counts = np.empty((tests, 1 << m), dtype=np.int64)
+    counts[:, 0] = rows
+    counts[:, 1 << np.arange(m)] = packed.ones[cols]
+    low, high = np.array(list(combinations(range(m), 2))).T
+    counts[:, 1 << low | 1 << high] = packed.both[cols[:, low], cols[:, high]]
+    if m > 2:
+        words = packed.words[cols.T]
+        # before step p, ands[i] holds the ANDed words of the i-th set of
+        # two or more of columns 0..p-1, keys[i] its subset index
+        ands = np.empty(((1 << m - 1) - m, *words.shape[1:]), dtype=np.uint64)
+        np.bitwise_and(words[0], words[1], out=ands[0])
+        keys = [3]
+        for p in range(2, m):
+            n, last = len(keys), p + 1 == m
+            grown = np.bitwise_and(ands[:n], words[p], out=None if last else ands[n : 2 * n])
+            keys += [key | 1 << p for key in keys]
+            counts[:, keys[n:]] = _popcount(grown).T
+            if not last:
+                np.bitwise_and(words[:p], words[p], out=ands[2 * n : 2 * n + p])
+                keys += [1 << q | 1 << p for q in range(p)]
+    for p in range(m):
+        half = counts.reshape(tests, -1, 2, 1 << p)
+        half[:, :, 0] -= half[:, :, 1]
+    return counts.reshape(tests, -1, 2, 2)
 
 
 def _masks_are_cheaper(level: int, words: int) -> bool:
-    """Whether a test's 2**level stratum masks over ``words`` packed words
+    """Whether a test's co-occurrence tables over ``words`` packed words
     cost less than a bincount of its rows.
 
     Per test, measured on a 2-vCPU x86 VM (NumPy 2.4; 24 random columns,
-    5 to 50k rows, levels 0 to 11): the masks take about 28 ns per stratum
-    and packed word plus about 110 ns per stratum, and a bincount about
-    60 us plus 90 ns per packed word of rows and code column. In units of
-    28 ns that is 2**level * (words + 4) against 2048 + 3.5 * words *
-    (level + 2). With few rows the bincount wins from about |S| = 9 on;
-    with 3k rows from |S| = 7 and with 20k or more from |S| = 5.
+    5 to 100k rows, levels 0 to 11, medians of interleaved runs): the
+    tables take about 15 ns per stratum and packed word (about four ANDs
+    and four popcounts of words per stratum), and a bincount about 70 us
+    plus 65 ns per packed word of rows and code column; both pay the same
+    G-squared cost per stratum. The tables win up to |S| = 8 with one word
+    of rows, 7 with 5 words and 5 with 47 to 1563 words (3k to 100k rows).
+    In units of 15 ns, 2**level * (words + 4) against 1500 + 4.5 * words *
+    (level + 2) draws that line. Its constants are fitted to these
+    crossovers, which the cache and the tables' fixed cost per stratum
+    move, rather than to the costs above.
     """
-    return (1 << level) * (words + 4) <= 2048 + 3.5 * words * (level + 2)
+    return (1 << level) * (words + 4) <= 1500 + 4.5 * words * (level + 2)
 
 
 def _g_squared_batch(
-    z: IncidenceMatrix, words: np.ndarray, x: np.ndarray, y: np.ndarray, s: np.ndarray
+    z: IncidenceMatrix, packed: _Packed, x: np.ndarray, y: np.ndarray, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Statistic and dof of T valid tests that share |S|, from the columns
-    of ``z`` packed by ``_bit_columns`` into ``words``; each equals
-    ``g_squared_ci_test``'s bit for bit.
+    of ``z`` packed by ``_pack``; each equals ``g_squared_ci_test``'s bit
+    for bit.
 
     ``x`` and ``y`` hold T columns and ``s`` has shape (T, |S|); its rows
-    need not be sorted. Tests go in chunks of about ``_BATCH_WORDS`` words
-    per operand. At levels where the 2**|S| stratum masks would cost more
-    than a bincount of the rows, each test is a bincount instead.
+    need not be sorted. The tables come from the co-occurrence counts in
+    ``packed`` and popcounts of ANDed columns (``_cooccurrence_tables``),
+    in chunks of about ``_BATCH_WORDS`` words per operand. At levels where
+    the 2**|S| strata would cost more than a bincount of the rows, each
+    test is a bincount instead.
     """
     level = s.shape[1]
+    _check_cond_size(level)
     statistic = np.empty(len(x))
     dof = np.empty(len(x), dtype=np.int64)
-    if not _masks_are_cheaper(level, words.shape[1]):
+    words = packed.words.shape[1]
+    if not _masks_are_cheaper(level, words):
         for t in range(len(x)):
             tables = _bincount_tables(z.cells, x[t], y[t], np.sort(s[t]))
             (statistic[t],), (dof[t],) = _g_squared(tables)
         return statistic, dof
     s = np.sort(s, axis=1)
-    valid = _bit_columns(np.ones((z.rows, 1), dtype=np.uint8))
-    step = max(1, _BATCH_WORDS // ((1 << level) * max(words.shape[1], 1)))
+    step = max(1, _BATCH_WORDS // ((1 << level) * max(words, 1)))
     for start in range(0, len(x), step):
         part = slice(start, start + step)
-        tables = _mask_tables(words, valid, x[part], y[part], s[part])
+        tables = _cooccurrence_tables(packed, z.rows, x[part], y[part], s[part])
         statistic[part], dof[part] = _g_squared(tables)
     return statistic, dof
 
@@ -507,13 +557,16 @@ def discover_cpdag(
     max_cond_size: int = DEFAULT_MAX_COND_SIZE,
 ) -> Mcg:
     """Infer the CPDAG of the incidence matrix with the G-squared test. The
-    columns are packed into bit words once, and each wave of the skeleton
-    search is one G-squared batch over them."""
+    columns are packed into bit words and counted alone and in pairs once,
+    and each wave of the skeleton search is one G-squared batch over them.
+    ``max_cond_size`` may not exceed ``G_SQUARED_MAX_COND_SIZE``."""
     _check_alpha(alpha)
+    if max_cond_size > G_SQUARED_MAX_COND_SIZE:
+        raise ValueError(f"max_cond_size {max_cond_size} exceeds {G_SQUARED_MAX_COND_SIZE}")
     points = tuple(KnowledgePoint(key=key) for key in z.col_keys)
-    words = _bit_columns(z.cells)
+    packed = _pack(z.cells)
 
     def decide(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return _independent(*_g_squared_batch(z, words, x, y, s), alpha)
+        return _independent(*_g_squared_batch(z, packed, x, y, s), alpha)
 
     return cpdag_from_ci(z.cols, decide, points, max_cond_size=max_cond_size)

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from conftest import one_at_a_time
 import cama.discovery
 from cama.discovery import (
     CiTestResult,
-    _bit_columns,
     _g_squared_batch,
     _independent,
+    _pack,
     chi2_sf,
     cpdag_from_ci,
     discover_cpdag,
@@ -261,9 +263,9 @@ class TestGSquared:
 def batch_kernel(z, x, y, s, alpha=0.05):
     """Statistic, dof, p-value and decision of T tests that share |S|, from
     the code discover_cpdag runs: ``_g_squared_batch`` over the packed
-    columns, ``chi2_sf`` and ``_independent``."""
+    columns and their co-occurrence counts, ``chi2_sf`` and ``_independent``."""
     x, y, s = (np.asarray(a, dtype=np.intp) for a in (x, y, s))
-    statistic, dof = _g_squared_batch(z, _bit_columns(z.cells), x, y, s)
+    statistic, dof = _g_squared_batch(z, _pack(z.cells), x, y, s)
     return statistic, dof, chi2_sf(statistic, dof), _independent(statistic, dof, alpha)
 
 
@@ -284,17 +286,16 @@ def random_tests(rng, k: int, size: int, count: int):
 
 
 def all_tests(k: int, size: int):
-    """(x, y, s) of every test on k columns with |s| = size <= 1."""
+    """(x, y, s) of every test on k columns with |s| = size."""
     triples = [
         (x, y, c)
         for x in range(k)
         for y in range(k)
-        for c in (range(k) if size else [None])
-        if x != y and c not in (x, y)
+        if x != y
+        for c in combinations([w for w in range(k) if w not in (x, y)], size)
     ]
     x, y, c = zip(*triples)
-    s = np.array(c if size else [], dtype=np.intp).reshape(len(x), size)
-    return np.array(x), np.array(y), s
+    return np.array(x), np.array(y), np.array(c, dtype=np.intp).reshape(len(x), size)
 
 
 class TestGSquaredBatch:
@@ -318,10 +319,18 @@ class TestGSquaredBatch:
         assert dof.tolist() == [0, 1]
 
     def test_rows_past_one_packed_word(self):
-        # 64 rows fill one packed word; 65 spill one bit into a second
+        # 64 rows fill one packed word; 65 spill one bit into a second. An
+        # all-ones and an all-zeros column give empty strata, which hold
+        # only padding bits if any
         for rows in (63, 64, 65, 130):
-            z = sweep_matrix(np.random.default_rng(rows), rows, 2, "dense")
-            assert_batch_matches_scalar(z, *all_tests(z.cols, 1))
+            z = sweep_matrix(np.random.default_rng(rows), rows, 3, "dense")
+            constant = np.ones(rows, dtype=np.uint8)
+            cells = np.column_stack([z.cells, constant, 0 * constant])
+            z = IncidenceMatrix(
+                cells=cells, row_ids=z.row_ids, col_keys=(*z.col_keys, "ones", "zeros")
+            )
+            for size in (1, 2, 3):
+                assert_batch_matches_scalar(z, *all_tests(z.cols, size))
 
     def test_empty_batch(self):
         z = sweep_matrix(np.random.default_rng(0), 10, 1, "dense")
@@ -379,10 +388,10 @@ class TestGSquaredBatch:
         assert_batch_matches_scalar(z, x, y, s)
 
     def test_crossover_prefers_masks_at_low_levels(self):
-        # the measured crossover: masks up to |S| = 8 with one word of rows,
-        # 6 with 3k rows (47 words) and 4 with 50k rows (782 words)
+        # the measured crossover: co-occurrence tables up to |S| = 8 with one
+        # word of rows, and 5 with 3k rows (47 words) and 50k rows (782 words)
         cheaper = cama.discovery._masks_are_cheaper
-        for words, last in ((1, 8), (47, 6), (782, 4)):
+        for words, last in ((1, 8), (47, 5), (782, 5)):
             assert [cheaper(level, words) for level in range(12)] == [
                 level <= last for level in range(12)
             ], words
@@ -397,15 +406,75 @@ def test_discover_cpdag_batches_every_level(monkeypatch):
     batched = []
     kernel = cama.discovery._g_squared_batch
 
-    def recording(z, words, x, y, s):
+    def recording(z, packed, x, y, s):
         batched.append(s.shape[1])
-        return kernel(z, words, x, y, s)
+        return kernel(z, packed, x, y, s)
 
     monkeypatch.setattr(cama.discovery, "_g_squared_batch", recording)
     z = sample_incidence(random_true_dag(12, 2 / 11, seed=3), 4000, seed=3)
     discover_cpdag(z)
     assert batched == sorted(batched) and batched.count(0) == 1
     assert set(batched) >= {0, 1, 2} and batched.count(1) > 1
+
+
+def test_batch_refuses_more_than_thirty_conditioning_columns():
+    # x and y copy the last conditioning column with 10% noise, so they are
+    # independent given it; a stratum code of 31 conditioning columns would
+    # lose that column's bit and find them dependent
+    rng = np.random.default_rng(31)
+    cells = np.zeros((2000, 33), dtype=np.uint8)
+    cells[:, -1] = rng.random(2000) < 0.5
+    for col in (0, 1):
+        cells[:, col] = cells[:, -1] ^ (rng.random(2000) < 0.1)
+    z = IncidenceMatrix(
+        cells=cells,
+        row_ids=tuple(map(str, range(2000))),
+        col_keys=tuple(f"c{i}" for i in range(33)),
+    )
+    s = np.arange(2, 33).reshape(1, 31)
+    assert g2_stratum_loop(z, 0, 1, frozenset(range(2, 33)), 0.05).independent
+    with pytest.raises(ValueError, match="conditioning set of size 31 exceeds 30"):
+        batch_kernel(z, [0], [1], s)
+    with pytest.raises(ValueError, match="max_cond_size 31 exceeds 30"):
+        discover_cpdag(z, max_cond_size=31)
+    # the last thirty, which hold the copied column, still decide as the loop
+    assert_batch_matches_scalar(z, [0], [1], s[:, 1:])
+    want = g2_stratum_loop(z, 0, 1, frozenset(range(3, 33)), 0.05)
+    assert bool(batch_kernel(z, [0], [1], s[:, 1:])[3][0]) == want.independent
+
+
+def test_popcount_reads_per_test(monkeypatch):
+    # the work the co-occurrence kernel saves: one discovery counts each
+    # column and pair of columns once; after that a test reads no packed
+    # word given no column, one row of words (x & y & s) given one, and
+    # five (the subsets of three or four of its columns) given two
+    batches, packs, reads = [], [], Counter()
+    popcount, kernel, pack = (
+        cama.discovery._popcount, cama.discovery._g_squared_batch, cama.discovery._pack
+    )
+
+    def counting_popcount(words):
+        reads[len(batches) - 1 if batches else "pack"] += math.prod(words.shape[:-1])
+        return popcount(words)
+
+    def recording(z, packed, x, y, s):
+        batches.append((s.shape[1], len(x)))
+        return kernel(z, packed, x, y, s)
+
+    def counting_pack(cells):
+        packs.append(cells.shape[1])
+        return pack(cells)
+
+    monkeypatch.setattr(cama.discovery, "_popcount", counting_popcount)
+    monkeypatch.setattr(cama.discovery, "_g_squared_batch", recording)
+    monkeypatch.setattr(cama.discovery, "_pack", counting_pack)
+    z = sample_incidence(random_true_dag(12, 2 / 11, seed=3), 4000, seed=3)
+    discover_cpdag(z)
+    assert packs == [12] and reads["pack"] == 12 * 13 // 2
+    per_test = {0: 0, 1: 1, 2: 5}
+    assert {level for level, _ in batches} == set(per_test)
+    for wave, (level, tests) in enumerate(batches):
+        assert reads[wave] == per_test[level] * tests, (wave, level, tests)
 
 
 class TestIndependentDecision:

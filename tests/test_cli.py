@@ -236,6 +236,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="max_cond_size"):
             load_config(cfg_file)
 
+    def test_max_cond_size_over_thirty_rejected(self, tmp_path):
+        # the G-squared test takes at most 30 conditioning columns
+        assert Config(max_cond_size=30).max_cond_size == 30
+        with pytest.raises(ConfigError, match=r"max_cond_size must lie in \[0, 30\]"):
+            Config(max_cond_size=31)
+        cfg_file = tmp_path / "cama.conf"
+        cfg_file.write_text("max_cond_size = 31\n")
+        with pytest.raises(ConfigError, match="max_cond_size"):
+            load_config(cfg_file)
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "1e999", "-inf"])
     def test_non_finite_temperature_rejected(self, tmp_path, raw):
         with pytest.raises(ConfigError, match="temperature must be finite"):

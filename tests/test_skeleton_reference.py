@@ -118,9 +118,9 @@ def test_g_squared_waves_ask_the_reference_tests(monkeypatch, masks):
     kernel = cama.discovery._g_squared_batch
     got_sizes = Counter()
 
-    def counting(z, words, x, y, s):
+    def counting(z, packed, x, y, s):
         got_sizes[s.shape[1]] += len(x)
-        return kernel(z, words, x, y, s)
+        return kernel(z, packed, x, y, s)
 
     skeletons = []
     search = cama.discovery.skeleton_from_ci
