@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_ALPHA, DEFAULT_MAX_COND_SIZE, G_SQUARED_MAX_COND_SIZE
+from .errors import ParseError
 from .graph import GraphBuilder, Mcg
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint
@@ -559,11 +560,15 @@ def discover_cpdag(
     """Infer the CPDAG of the incidence matrix with the G-squared test. The
     columns are packed into bit words and counted alone and in pairs once,
     and each wave of the skeleton search is one G-squared batch over them.
-    ``max_cond_size`` may not exceed ``G_SQUARED_MAX_COND_SIZE``."""
+    ``max_cond_size`` may not exceed ``G_SQUARED_MAX_COND_SIZE``, and column
+    keys that are not distinct node keys are a ParseError before any test."""
     _check_alpha(alpha)
     if max_cond_size > G_SQUARED_MAX_COND_SIZE:
         raise ValueError(f"max_cond_size {max_cond_size} exceeds {G_SQUARED_MAX_COND_SIZE}")
-    points = tuple(KnowledgePoint(key=key) for key in z.col_keys)
+    try:  # an empty graph over the columns checks that they are distinct node keys
+        points = Mcg(tuple(KnowledgePoint(key=key) for key in z.col_keys)).nodes
+    except ValueError as e:
+        raise ParseError(f"incidence column keys are not node keys: {e}") from e
     packed = _pack(z.cells)
 
     def decide(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -9,11 +9,13 @@ check. Code that edits a graph edge by edge (discovery's orientation steps,
 the alignment loop's relation edits) works on a mutable ``GraphBuilder``
 and freezes it to an ``Mcg`` once, at the boundary.
 
-An ``Mcg`` verbalizes itself once, on first use, and keeps the text together
-with the two endpoints of each relation line. ``verbalize(g, selected)``
-renders the subgraph induced by ``selected`` from that text, by keeping the
-lines whose nodes are all selected and numbering them anew, so a view of a
-subgraph builds no ``Mcg`` of its own.
+An ``Mcg`` verbalizes itself once, on first use: a ``Verbalization`` holds
+the two prompt blocks as text, and the graph keeps its unnumbered lines and
+the two endpoints of each relation beside them. ``verbalize(g, selected)``
+renders the subgraph induced by ``selected`` from those lines, keeping the
+ones whose nodes are all selected and numbering them anew, so a view of a
+subgraph builds no ``Mcg`` of its own. Graph equality and the structural
+Hamming distance both compare graphs through ``edge_keys``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError
 from .model import KnowledgePoint, json_list, json_text, read_json, write_atomic
@@ -106,9 +108,10 @@ class Mcg:
         return len(self.directed) + len(self.undirected)
 
     @cached_property
-    def _verbalized(self) -> tuple[Verbalization, tuple[tuple[int, int], ...]]:
-        """The whole graph's verbalization, computed on first use, and the
-        two node indices of each of its relation lines, in line order.
+    def _verbalized(self) -> tuple[Verbalization, list[str], list[str], list[tuple[int, int]]]:
+        """The whole graph's verbalization, computed on first use, with its
+        unnumbered element lines, its relation sentences and the two node
+        indices of each sentence, in line order.
 
         Relations list directed edges first, then undirected, each ordered
         by node keys, so that equal graphs verbalize identically regardless
@@ -122,11 +125,9 @@ class Mcg:
         )
         sentences = [DIRECTED_SENTENCE.format(u=key[u], v=key[v]) for u, v in directed]
         sentences += [UNDIRECTED_SENTENCE.format(u=key[u], v=key[v]) for u, v in undirected]
-        text = Verbalization(
-            elements=_numbered(f"{p.key}: {p.description}".rstrip() for p in self.nodes),
-            relations=_numbered(sentences),
-        )
-        return text, tuple(directed + undirected)
+        elements = [f"{p.key}: {p.description}".rstrip() for p in self.nodes]
+        text = Verbalization(_numbered(elements), _numbered(sentences))
+        return text, elements, sentences, directed + undirected
 
 
 class GraphBuilder:
@@ -213,61 +214,47 @@ def extract_subgraph(g: Mcg, selected: Iterable[int]) -> Mcg:
     """Induced subgraph on ``selected``: an edge survives iff both endpoints do."""
     chosen = _chosen(g, selected)
     remap = {old: new for new, old in enumerate(chosen)}
-    keep = set(chosen)
     return Mcg(
         nodes=tuple(g.nodes[i] for i in chosen),
         directed=frozenset(
-            (remap[u], remap[v]) for u, v in g.directed if u in keep and v in keep
+            (remap[u], remap[v]) for u, v in g.directed if u in remap and v in remap
         ),
         undirected=frozenset(
-            (remap[u], remap[v]) for u, v in g.undirected if u in keep and v in keep
+            (remap[u], remap[v]) for u, v in g.undirected if u in remap and v in remap
         ),
     )
 
 
-@dataclass(frozen=True)
-class Verbalization:
-    """Numbered natural-language rendering of a graph for prompt injection."""
+class Verbalization(NamedTuple):
+    """Numbered natural-language rendering of a graph for prompt injection:
+    each field is its numbered lines (``**1.** ...``) joined by newlines."""
 
-    elements: tuple[str, ...]
-    relations: tuple[str, ...]
-
-    def elements_text(self) -> str:
-        return "\n".join(self.elements)
-
-    def relations_text(self) -> str:
-        return "\n".join(self.relations)
+    elements: str
+    relations: str
 
 
-def _numbered(lines: Iterable[str]) -> tuple[str, ...]:
-    return tuple(f"**{i}.** {line}" for i, line in enumerate(lines, start=1))
-
-
-def _unnumbered(line: str) -> str:
-    return line.partition(" ")[2]
+def _numbered(lines: Iterable[str]) -> str:
+    return "\n".join(f"**{i}.** {line}" for i, line in enumerate(lines, start=1))
 
 
 def verbalize(g: Mcg, selected: Iterable[int] | None = None) -> Verbalization:
     """Render nodes and edges as numbered element / relation lines.
 
-    Element numbering is 1-based and matches the factor indices the
-    subgraph-matching prompt asks the model to echo back. With
+    Each field is the prompt text: its lines joined by newlines, "" when
+    there are none. Element numbering is 1-based and matches the factor
+    indices the subgraph-matching prompt asks the model to echo back. With
     ``selected``, the result is the verbalization of
-    ``extract_subgraph(g, selected)``, cut from g's own: the lines of the
+    ``extract_subgraph(g, selected)``, cut from g's own lines: those of the
     selected nodes and of the relations between them, numbered from 1.
     """
-    text, ends = g._verbalized
+    text, elements, sentences, ends = g._verbalized
     if selected is None:
         return text
     chosen = _chosen(g, selected)
     keep = set(chosen)
     return Verbalization(
-        elements=_numbered(_unnumbered(text.elements[i]) for i in chosen),
-        relations=_numbered(
-            _unnumbered(line)
-            for line, (u, v) in zip(text.relations, ends)
-            if u in keep and v in keep
-        ),
+        _numbered(elements[i] for i in chosen),
+        _numbered(line for line, (u, v) in zip(sentences, ends) if u in keep and v in keep),
     )
 
 
@@ -281,14 +268,14 @@ def graphs_equal(a: Mcg, b: Mcg) -> bool:
     keys_b = {p.key for p in b.nodes}
     if keys_a != keys_b:
         return False
-    return _edge_keys(a) == _edge_keys(b)
+    return edge_keys(a) == edge_keys(b)
 
 
-def _edge_keys(g: Mcg):
+def edge_keys(g: Mcg) -> tuple[set[tuple[str, str]], set[frozenset[str]]]:
+    """The directed edges as (source key, target key) pairs and the
+    undirected ones as frozensets of their two keys."""
     directed = {(g.nodes[u].key, g.nodes[v].key) for u, v in g.directed}
-    undirected = {
-        frozenset((g.nodes[u].key, g.nodes[v].key)) for u, v in g.undirected
-    }
+    undirected = {frozenset((g.nodes[u].key, g.nodes[v].key)) for u, v in g.undirected}
     return directed, undirected
 
 
@@ -348,14 +335,9 @@ def _dot_quote(label: str) -> str:
 
 def export_dot(g: Mcg) -> str:
     """Graphviz DOT text: undirected association edges carry dir=none."""
-    lines = ["digraph mcg {"]
-    for p in g.nodes:
-        lines.append(f"  {_dot_quote(p.key)};")
-    for u, v in sorted(g.directed):
-        lines.append(f"  {_dot_quote(g.nodes[u].key)} -> {_dot_quote(g.nodes[v].key)};")
-    for u, v in sorted(g.undirected):
-        lines.append(
-            f"  {_dot_quote(g.nodes[u].key)} -> {_dot_quote(g.nodes[v].key)} [dir=none];"
-        )
+    name = [_dot_quote(p.key) for p in g.nodes]
+    lines = ["digraph mcg {", *(f"  {n};" for n in name)]
+    for edges, attributes in ((g.directed, ""), (g.undirected, " [dir=none]")):
+        lines += (f"  {name[u]} -> {name[v]}{attributes};" for u, v in sorted(edges))
     lines.append("}")
     return "\n".join(lines) + "\n"

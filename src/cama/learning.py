@@ -23,7 +23,7 @@ from .discovery import discover_cpdag
 from .errors import CamaError, ConfigError, EmptyDataset, ParseError, ReplyError
 from .graph import GraphBuilder, Mcg, graphs_equal, save_graph, verbalize
 from .matrix import IncidenceMatrix
-from .model import KnowledgePoint, QaRecord, ReplacementMap, json_line, write_json
+from .model import KnowledgePoint, QaRecord, ReplacementMap, json_line, write_atomic, write_json
 from .parsers import (
     RelationEdit,
     parse_answer,
@@ -196,9 +196,9 @@ def _format_feedback_entries(answered: list[tuple[QaRecord, ReasoningOutcome]]) 
         "## Solution\n"
         f"{rec.solution or '(not available)'}\n\n"
         "## Matched Knowledge Points\n"
-        f"{outcome.view.elements_text() or '(none)'}\n\n"
+        f"{outcome.view.elements or '(none)'}\n\n"
         "## Recorded Relations\n"
-        f"{outcome.view.relations_text() or '(none)'}"
+        f"{outcome.view.relations or '(none)'}"
         for rec, outcome in answered
     )
 
@@ -331,7 +331,7 @@ def align(
             round_index += 1
             new_g, row = run_alignment_round(g, batch, history, gateway)
             # the round answered with g, so its verbalization is cached
-            history.append((verbalize(g).relations_text() or "(none)", row["precision"]))
+            history.append((verbalize(g).relations or "(none)", row["precision"]))
             changed = not graphs_equal(new_g, g)
             unchanged_streak = 0 if changed else unchanged_streak + 1
             g = new_g
@@ -374,10 +374,9 @@ def run_learn_pipeline(
     run_dir.mkdir(parents=True, exist_ok=True)
 
     records = extract_all(dataset, granularity, gateway)
-    with (run_dir / "extraction.jsonl").open("w", encoding="utf-8") as fh:
-        for rec in records:
-            points = [{"key": p.key, "description": p.description} for p in rec.points]
-            fh.write(json_line({"qa_id": rec.qa_id, "points": points}) + "\n")
+    points = lambda rec: [{"key": p.key, "description": p.description} for p in rec.points]
+    lines = (json_line({"qa_id": rec.qa_id, "points": points(rec)}) + "\n" for rec in records)
+    write_atomic(run_dir / "extraction.jsonl", "".join(lines))
 
     canonical, replacements = deduplicate(records, gateway)
     write_json(

@@ -33,7 +33,7 @@ class KnowledgePoint:
     def __post_init__(self):
         normalized = normalize_key(self.key)
         if not normalized:
-            raise ValueError("knowledge point key is empty after normalization")
+            raise ValueError(f"knowledge point key {self.key!r} is empty after normalization")
         if not isinstance(self.description, str):
             kind = type(self.description).__name__
             raise TypeError(f"knowledge point description must be a string, not {kind}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .discovery import DEFAULT_MAX_COND_SIZE, BatchTest, _assemble, cpdag_from_ci, meek_closure
 from .errors import ParseError
-from .graph import Mcg, topological_order
+from .graph import Mcg, edge_keys, topological_order
 from .matrix import IncidenceMatrix
 from .model import KnowledgePoint, json_list, read_json
 
@@ -37,8 +37,7 @@ class TrueDag:
         k = len(self.names)
         if len(self.parents) != k or len(self.cpt) != k:
             raise ValueError("names, parents and cpt must have equal length")
-        if len(set(self.names)) != k:
-            raise ValueError("node names must be pairwise distinct")
+        Mcg(tuple(KnowledgePoint(key=name) for name in self.names))  # distinct node keys
         object.__setattr__(
             self, "parents", tuple(tuple(int(p) for p in ps) for ps in self.parents)
         )
@@ -174,29 +173,14 @@ def structural_hamming_distance(a: Mcg, b: Mcg) -> int:
     """Count of node pairs whose edge state differs between the two graphs.
 
     Edge state per pair is one of: absent, undirected, directed either way.
-    Any mismatch (insertion, deletion, kind or direction change) counts 1.
-    Both graphs must cover the same node keys.
+    Any mismatch (insertion, deletion, kind or direction change) counts 1,
+    as one unordered key pair. Both graphs must cover the same node keys.
     """
-    keys_a = sorted(p.key for p in a.nodes)
-    keys_b = sorted(p.key for p in b.nodes)
-    if keys_a != keys_b:
+    if {p.key for p in a.nodes} != {p.key for p in b.nodes}:
         raise ValueError("graphs cover different node keys")
 
-    def states(g: Mcg) -> dict[tuple[str, str], str]:
-        idx = {i: p.key for i, p in enumerate(g.nodes)}
-        out: dict[tuple[str, str], str] = {}
-        for u, v in g.directed:
-            ku, kv = idx[u], idx[v]
-            pair = (min(ku, kv), max(ku, kv))
-            out[pair] = "fwd" if ku < kv else "rev"
-        for u, v in g.undirected:
-            ku, kv = idx[u], idx[v]
-            out[(min(ku, kv), max(ku, kv))] = "und"
-        return out
-
-    sa, sb = states(a), states(b)
-    pairs = set(sa) | set(sb)
-    return sum(1 for p in pairs if sa.get(p, "none") != sb.get(p, "none"))
+    (da, ua), (db, ub) = edge_keys(a), edge_keys(b)
+    return len({frozenset(e) for e in da ^ db} | (ua ^ ub))
 
 
 def random_true_dag(

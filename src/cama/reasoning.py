@@ -27,10 +27,10 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class ReasoningOutcome:
     """One answered question. ``view`` is the verbalized subgraph induced by
-    the ``chosen`` node indices, as the answer prompt carried it: it is
-    ``verbalize(g, chosen)``, cut from the whole graph's cached text, and
+    the ``chosen`` node indices, as text the answer prompt carried: it is
+    ``verbalize(g, chosen)``, cut from the whole graph's cached lines, and
     equal to ``verbalize(extract_subgraph(g, chosen))``. A question that
-    failed before that prompt has an empty ``chosen`` and ``view``."""
+    failed before that prompt has no ``chosen`` and ``Verbalization("", "")``."""
 
     qa_id: str
     trace: str
@@ -139,7 +139,7 @@ def answer_questions(
         return kept
 
     traces = step("p_t", {i: {"question": q.question} for i, q in enumerate(records)})
-    elements = verbalize(g).elements_text()
+    elements = verbalize(g).elements
     chosen: dict[int, frozenset[int]] = step(
         "p_m",
         {
@@ -157,8 +157,8 @@ def answer_questions(
         {
             i: {
                 "question": records[i].question,
-                "chosen_knowledge_points": view.elements_text(),
-                "knowledge_point_relations": view.relations_text(),
+                "chosen_knowledge_points": view.elements,
+                "knowledge_point_relations": view.relations,
             }
             for i, view in views.items()
         },
@@ -175,7 +175,7 @@ def answer_questions(
             qa_id=q.id,
             trace=traces.get(i, ""),
             chosen=chosen.get(i, frozenset()),
-            view=views.get(i, Verbalization(elements=(), relations=())),
+            view=views.get(i, Verbalization("", "")),
             raw_answer=raw_answers.get(i, ""),
             parsed_answer=parsed.get(i, ""),
             correct=i in parsed and bool(q.answer) and judge_exact(parsed[i], q.answer),

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -28,6 +29,18 @@ def one_at_a_time(independent):
         return np.array([independent(u, v, frozenset(c)) for u, v, c in tests], dtype=bool)
 
     return decide
+
+
+@pytest.fixture
+def no_network(monkeypatch):
+    """Refuse every request sent through ``requests``. An HttpChatClient
+    bound its default transport when the class was defined, so replacing
+    the transport function would not reach a client built later."""
+
+    def refuse(self, method, url, *args, **kwargs):
+        raise AssertionError(f"network access attempted: {url}")
+
+    monkeypatch.setattr(requests.Session, "request", refuse)
 
 
 @pytest.fixture

@@ -18,9 +18,8 @@ from conftest import make_corpus
 from fake_llm import FakeLlm, update_response
 from test_oracle import chain_dag, collider_dag, fork_dag
 
-import cama.client as client_mod
 from cama.cli import main as cli_main
-from cama.client import RecordingClient
+from cama.client import ChatRequest, HttpChatClient, RecordingClient
 from cama.discovery import discover_cpdag, g_squared_ci_test, meek_closure
 from cama.graph import Mcg, graphs_equal, topological_order
 from cama.learning import (
@@ -50,12 +49,15 @@ def report(number: int, name: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {number} {name} failed{suffix}"
 
 
-@pytest.fixture(autouse=True)
-def no_network(monkeypatch):
-    def refuse(url, headers, payload, timeout):
-        raise AssertionError(f"network access attempted: {url}")
+# no criterion may reach a network: conftest's no_network refuses every request
+pytestmark = pytest.mark.usefixtures("no_network")
 
-    monkeypatch.setattr(client_mod, "_requests_transport", refuse)
+
+def test_network_guard_refuses_a_default_http_client():
+    # one attempt, so a client that got past the guard sleeps through no backoff
+    client = HttpChatClient(api_base="http://localhost:9", model="m", max_retries=1)
+    with pytest.raises(AssertionError, match="network access attempted"):
+        client.complete(ChatRequest(prompt="hi", tag="p_t"))
 
 
 def test_criterion_1_oracle_cpdag_recovery():

@@ -9,7 +9,6 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-import requests
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -51,18 +50,6 @@ def runner():
 def clean_env(monkeypatch):
     for var in ("CAMA_API_BASE", "CAMA_API_KEY", "CAMA_MODEL"):
         monkeypatch.delenv(var, raising=False)
-
-
-@pytest.fixture
-def no_network(monkeypatch):
-    """Refuse every request sent through ``requests``. An HttpChatClient
-    bound its default transport when the class was defined, so replacing
-    the transport function would not reach a client built later."""
-
-    def refuse(self, method, url, *args, **kwargs):
-        raise AssertionError(f"network access attempted: {url}")
-
-    monkeypatch.setattr(requests.Session, "request", refuse)
 
 
 def test_no_network_refuses_a_default_http_client(no_network):
@@ -432,6 +419,42 @@ class TestDiscoverCommand:
         assert result.exit_code == 1
         error = json.loads(result.output.strip().splitlines()[-1])
         assert error["error"] == "ParseError"
+
+    # keys are normalized (lower case, single spaces) into node keys, which
+    # must stay non-empty and pairwise distinct: (keys, the key the error names)
+    NOT_NODE_KEYS = [
+        (["A", "a"], "'a'"), (["a", ""], "''"), (["a", " "], "' '"), (["x  y", "X Y"], "'x y'")
+    ]
+
+    @pytest.mark.parametrize("keys, named", NOT_NODE_KEYS)
+    def test_discover_refuses_columns_that_are_not_node_keys(self, runner, tmp_path, keys, named):
+        csv_file = tmp_path / "incidence.csv"
+        csv_file.write_text(f"id,{','.join(keys)}\nr1,1,0\nr2,0,1\n")
+        out = tmp_path / "graph.json"
+        result = runner.invoke(
+            main, ["discover", str(csv_file), "--out", str(out), "--run-dir", str(tmp_path)]
+        )
+        assert result.exit_code == 1
+        (line,) = result.output.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ParseError" and named in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names, named", NOT_NODE_KEYS)
+    def test_synth_refuses_names_that_are_not_node_keys(self, runner, tmp_path, names, named):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "nodes": names,
+            "parents": {n: [] for n in names},
+            "cpt": {n: [[0.5, 0.5]] for n in names},
+        }))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["synth", str(scenario), "--out-dir", str(out)])
+        assert result.exit_code == 1
+        (line,) = result.output.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ParseError" and named in error["message"]
+        assert not (out / "incidence.csv").exists()
 
 
 VALID_SCENARIO = {

@@ -11,6 +11,7 @@ from cama.errors import ParseError
 from cama.graph import (
     GraphBuilder,
     Mcg,
+    Verbalization,
     deserialize_graph,
     export_dot,
     extract_subgraph,
@@ -193,14 +194,13 @@ class TestVerbalize:
         v = verbalize(g)
         assert v.relations == (
             "**1.** area of a circle is a prerequisite for volume of a cylinder. "
-            "If volume of a cylinder is used, then area of a circle could also be used.",
+            "If volume of a cylinder is used, then area of a circle could also be used."
         )
 
     def test_undirected_sentence_exact(self):
         area, cylinder, _ = geometry_points()
         g = Mcg(nodes=(area, cylinder), undirected={(0, 1)})
-        (line,) = verbalize(g).relations
-        assert line == (
+        assert verbalize(g).relations == (
             "**1.** area of a circle and volume of a cylinder are associated, "
             "but the direction of dependency is unclear. "
             "Either could be a prerequisite for the other."
@@ -208,15 +208,11 @@ class TestVerbalize:
 
     def test_empty_graph(self):
         v = verbalize(Mcg(nodes=()))
-        assert v.elements == () and v.relations == ()
-        assert v.elements_text() == "" and v.relations_text() == ""
+        assert v == Verbalization(elements="", relations="")
 
     def test_elements_numbered_by_index(self):
         g = Mcg(nodes=points(2))
-        assert verbalize(g).elements == (
-            "**1.** kp 0: concept 0",
-            "**2.** kp 1: concept 1",
-        )
+        assert verbalize(g).elements == "**1.** kp 0: concept 0\n**2.** kp 1: concept 1"
 
     def test_equal_graphs_verbalize_identical_relations(self):
         a, b, c = points(3)
@@ -287,7 +283,7 @@ class TestSubgraphView:
         g = Mcg(nodes=nodes, directed={(0, 2), (1, 0)}, undirected={(1, 2)})
         for selected in ({0, 2}, {1, 2}, {0, 1, 2}, {2}, set()):
             assert verbalize(g, selected) == verbalize(extract_subgraph(g, selected))
-        assert verbalize(g, [2, 0, 2]).elements == ("**1.** zeta:", "**2.** mu:")
+        assert verbalize(g, [2, 0, 2]).elements == "**1.** zeta:\n**2.** mu:"
 
     def test_verbalized_once(self):
         g = Mcg(nodes=points(3), directed={(0, 1)})

@@ -1,6 +1,7 @@
 import logging
 import re
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,10 +347,10 @@ class TestRunAlignmentRound:
             view = verbalize(extract_subgraph(g, chosen))
             entry = (
                 f"## Question\n{record.question}\n\n## Solution\n{record.solution}\n\n"
-                f"## Matched Knowledge Points\n{view.elements_text()}\n\n"
-                f"## Recorded Relations\n{view.relations_text() or '(none)'}"
+                f"## Matched Knowledge Points\n{view.elements}\n\n"
+                f"## Recorded Relations\n{view.relations or '(none)'}"
             )
-            assert view.elements_text() in answer_prompt
+            assert view.elements in answer_prompt
             assert entry in update_prompt
 
     def test_edit_creates_edge(self, small_corpus):
@@ -408,10 +409,10 @@ class TestRunAlignmentRound:
             directed=frozenset({(0, 1)}),
             undirected=frozenset({(1, 2)}),
         )
-        history = deque([(verbalize(chained).relations_text(), 0.5), ("(none)", 0.25)])
+        history = deque([(verbalize(chained).relations, 0.5), ("(none)", 0.25)])
         run_alignment_round(alignment_graph(), small_corpus, history, fake_llm)
         block = "\n\n".join(
-            f"## Round precision {precision:.3f}\n{verbalize(g).relations_text() or '(none)'}"
+            f"## Round precision {precision:.3f}\n{verbalize(g).relations or '(none)'}"
             for g, precision in ((chained, 0.5), (alignment_graph(), 0.25))
         )
         assert "# Optimization History (most recent last)\n\n" + block in fake_llm.prompts("p_u")[0]
@@ -523,6 +524,41 @@ class TestPipelineDeterminism:
         assert blobs[0][0] == (tmp_path / "rec" / "incidence.csv").read_bytes()
 
 
+class TestExtractionArtifact:
+    def test_cut_off_write_keeps_previous_file(self, tmp_path, small_corpus, fake_llm, monkeypatch):
+        from cama.learning import run_learn_pipeline
+
+        run_learn_pipeline(small_corpus, fake_llm, tmp_path)
+        before = (tmp_path / "extraction.jsonl").read_bytes()
+        real_open = Path.open
+
+        class CutOff:
+            """A file whose first write stores half its text, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        def cut_extraction(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return CutOff(fh) if "w" in mode and "extraction.jsonl" in path.name else fh
+
+        monkeypatch.setattr(Path, "open", cut_extraction)
+        with pytest.raises(OSError, match="No space left"):
+            run_learn_pipeline(small_corpus, fake_llm, tmp_path)
+        assert (tmp_path / "extraction.jsonl").read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 class TestUpdateHistory:
     """The p_u prompt's history block: what align keeps of each round."""
 
@@ -541,7 +577,7 @@ class TestUpdateHistory:
         edited = Mcg(nodes=alignment_graph().nodes, directed=frozenset({(0, 1)}))
         block = "\n\n".join(
             f"## Round precision 1.000\n{text}"
-            for text in ("(none)", verbalize(edited).relations_text())
+            for text in ("(none)", verbalize(edited).relations)
         )
         prompts = llm.prompts("p_u")
         assert "Optimization History" not in prompts[0]

@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cama.graph import Mcg
+from cama.graph import Mcg, graphs_equal
 from cama.model import KnowledgePoint
 from cama.oracle import (
     TrueDag,
@@ -237,6 +239,58 @@ class TestTrueCpdag:
         assert cpdag.undirected == {(0, 1), (0, 2)}
 
 
+def reference_shd(a: Mcg, b: Mcg) -> int:
+    """SHD by one edge state per unordered key pair: absent, undirected,
+    or directed either way."""
+
+    def states(g: Mcg) -> dict[tuple[str, str], str]:
+        key = [p.key for p in g.nodes]
+        out = {}
+        for u, v in g.directed:
+            out[min(key[u], key[v]), max(key[u], key[v])] = "fwd" if key[u] < key[v] else "rev"
+        for u, v in g.undirected:
+            out[min(key[u], key[v]), max(key[u], key[v])] = "und"
+        return out
+
+    sa, sb = states(a), states(b)
+    return sum(sa.get(p, "none") != sb.get(p, "none") for p in set(sa) | set(sb))
+
+
+@st.composite
+def same_key_pairs(draw, max_nodes=7):
+    """Two graphs over the same keys; the second lists its nodes in a
+    drawn order, so index order differs from the first graph's. A drawn
+    share of the pairs copies the first graph's edges, so that equal
+    graphs under different node orders come up too."""
+    k = draw(st.integers(0, max_nodes))
+    pts = tuple(KnowledgePoint(f"n{i}") for i in range(k))
+
+    def edges():
+        order = draw(st.permutations(range(k)))  # directed edges run forward in it
+        directed, undirected = set(), set()
+        for a, b in itertools.combinations(range(k), 2):
+            kind = draw(st.sampled_from(["none", "dir", "und"]))
+            if kind == "dir":
+                directed.add((order[a], order[b]))
+            elif kind == "und":
+                undirected.add((order[a], order[b]))
+        return directed, undirected
+
+    directed_a, undirected_a = edges()
+    directed_b, undirected_b = (directed_a, undirected_a) if draw(st.booleans()) else edges()
+    perm = draw(st.permutations(range(k)))  # node i of a is node perm[i] of b
+    nodes_b = [None] * k
+    for i, j in enumerate(perm):
+        nodes_b[j] = pts[i]
+    a = Mcg(nodes=pts, directed=directed_a, undirected=undirected_a)
+    b = Mcg(
+        nodes=tuple(nodes_b),
+        directed={(perm[u], perm[v]) for u, v in directed_b},
+        undirected={(perm[u], perm[v]) for u, v in undirected_b},
+    )
+    return a, b
+
+
 class TestShd:
     def graph(self, directed=(), undirected=(), k=3):
         pts = tuple(KnowledgePoint(f"n{i}") for i in range(k))
@@ -261,6 +315,14 @@ class TestShd:
         g1 = Mcg(nodes=pts, directed={(0, 1)})
         g2 = Mcg(nodes=(pts[2], pts[0], pts[1]), directed={(1, 2)})
         assert structural_hamming_distance(g1, g2) == 0
+
+    @settings(max_examples=200)
+    @given(same_key_pairs())
+    def test_matches_per_pair_states_and_graphs_equal(self, pair):
+        a, b = pair
+        shd = structural_hamming_distance(a, b)
+        assert shd == reference_shd(a, b) == structural_hamming_distance(b, a)
+        assert graphs_equal(a, b) == (shd == 0)
 
     def test_different_keys_rejected(self):
         g1 = self.graph(k=2)

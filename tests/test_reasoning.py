@@ -127,7 +127,7 @@ class TestAnswerQuestion:
         assert views == [(0,)] * 2  # the failed questions get no view
         assert [o.failed for o in outcomes] == [False, True, False, True]
         for o in outcomes[1::2]:
-            assert o.chosen == frozenset() and o.view == Verbalization(elements=(), relations=())
+            assert o.chosen == frozenset() and o.view == Verbalization("", "")
         assert outcomes[0].view == verbalize(extract_subgraph(guided_graph(), {0}))
 
     def test_answering_builds_no_graph(self, monkeypatch):
@@ -176,7 +176,7 @@ class TestHighIndexFactorCase:
             "p_m",
             {
                 "question_think": f"{record.question}\n\n{trace}",
-                "knowledge_point_descriptions": verbalize(g).elements_text(),
+                "knowledge_point_descriptions": verbalize(g).elements,
             },
         )
         sub = verbalize(extract_subgraph(g, {0, 15}))
@@ -184,8 +184,8 @@ class TestHighIndexFactorCase:
             "p_a",
             {
                 "question": record.question,
-                "chosen_knowledge_points": sub.elements_text(),
-                "knowledge_point_relations": sub.relations_text(),
+                "chosen_knowledge_points": sub.elements,
+                "knowledge_point_relations": sub.relations,
             },
         )
         entry = lambda tag, prompt, resp: TranscriptEntry(tag, prompt_sha256(prompt), resp)
