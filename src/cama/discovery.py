@@ -9,24 +9,31 @@ stand in for the statistical test.
 
 The search takes one kind of decision, a batch: given T tests as x (T,),
 y (T,) and s (T, |S|), it returns a bool (T,), True where the test finds
-independence. Each level of the skeleton search runs in waves: wave r asks
-every pair still adjacent for its r-th candidate conditioning set, and one
-call of the decision answers all of those tests. A pair leaves at its
-first independent candidate, so the tests asked and the sepsets are those
-of a one-at-a-time search. With G-squared a batch is one kernel for any
-|S|. Once per discovery the columns are packed into bit words and each
-column and each pair of columns has its rows with 1 counted. A test's
-tables come by inclusion-exclusion from the counts of rows where a subset
-of its columns is all 1: subsets of one or two columns are looked up, and
-only larger ones are popcounts of ANDed packed columns. A test given no
-column reads no packed word, and a test given one column reads one.
+independence. The adjacency is one (k, k) bool matrix. Level 0 is one
+call over every pair of its upper triangle, and its removals are one
+masked assignment. Each higher level lays the candidate conditioning sets
+of its pairs end to end in one (N, |S|) table, a block of at most
+``_BLOCK`` per pair at a time, with each pair's start row and count; the
+r-th wave of a block asks every pair still in play for row start + r in
+one call of the decision, and the pairs in play shrink by boolean masks. A pair leaves at
+its first independent candidate, so the tests asked and the sepsets are
+those of a one-at-a-time search, and removals are committed only when a
+level ends. With G-squared a batch is one kernel for any |S|. Once per
+discovery the columns are packed into bit words and each column and each
+pair of columns has its rows with 1 counted. A test's tables come by
+inclusion-exclusion from the counts of rows where a subset of its columns
+is all 1: subsets of one or two columns are looked up, and only larger
+ones are popcounts of ANDed packed columns. A test given no column reads
+no packed word, and a test given one column reads one. The cut that the
+statistic of each degree of freedom is compared with is computed once per
+discovery; only a statistic within 1e-6 of its cut gets its p-value.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, filterfalse, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -43,8 +50,12 @@ logger = logging.getLogger(__name__)
 # in, True where independent out
 BatchTest = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-# packed words per operand in one chunk of a batch, which bounds its memory
+# packed words per stratum in one chunk of a batch at |S| >= 1, which bounds
+# its memory; a level-0 batch reads no packed word and is one chunk
 _BATCH_WORDS = 1 << 16
+
+# candidates of one pair that a level's candidate table holds at once
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -157,7 +168,13 @@ def _g_squared(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _independent(statistic: np.ndarray, dof: np.ndarray, alpha: float) -> np.ndarray:
-    """``chi2_sf(statistic, dof) > alpha`` elementwise, computing few p-values.
+    """``chi2_sf(statistic, dof) > alpha`` elementwise, computing few p-values
+    (``_cut_table``)."""
+    return _cut_table(alpha)(statistic, dof)
+
+
+def _cut_table(alpha: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """``_independent`` at ``alpha``, computing each dof's cut once.
 
     The p-value falls as the statistic grows and equals alpha at the cut
     2 * gammainccinv(dof / 2, alpha). A statistic more than 1e-6 (relative)
@@ -165,19 +182,30 @@ def _independent(statistic: np.ndarray, dof: np.ndarray, alpha: float) -> np.nda
     differs from alpha by many orders of magnitude more than the rounding
     error of gammaincc or gammainccinv. Statistics nearer the cut get their
     p-value. A test with zero dof has the cut +inf, so it is independent.
+    The cuts are kept by dof, each computed the first time a call sees it.
     """
     # imported here: scipy.special is over half of the package's import time
     from scipy.special import gammainccinv
 
-    dofs, index = np.unique(dof, return_inverse=True)
-    cuts = np.full(len(dofs), np.inf)
-    live = dofs > 0
-    cuts[live] = 2.0 * gammainccinv(dofs[live] / 2.0, alpha)
-    cut = cuts[index]
-    decided = statistic < cut
-    near = np.flatnonzero(np.abs(statistic - cut) <= 1e-6 * cut)
-    decided[near] = chi2_sf(statistic[near], dof[near]) > alpha
-    return decided
+    cuts = np.array([np.inf])  # by dof; nan where not yet computed
+
+    def independent(statistic: np.ndarray, dof: np.ndarray) -> np.ndarray:
+        nonlocal cuts
+        if dof.size and dof.max() >= len(cuts):
+            cuts = np.concatenate([cuts, np.full(dof.max() + 1 - len(cuts), np.nan)])
+        cut = cuts[dof]
+        new = np.isnan(cut)
+        if new.any():
+            fresh = np.unique(dof[new])
+            cuts[fresh] = 2.0 * gammainccinv(fresh / 2.0, alpha)
+            cut = cuts[dof]
+        decided = statistic < cut
+        near = np.flatnonzero(np.abs(statistic - cut) <= 1e-6 * cut)
+        if len(near):
+            decided[near] = chi2_sf(statistic[near], dof[near]) > alpha
+        return decided
+
+    return independent
 
 
 class _Packed(NamedTuple):
@@ -278,9 +306,10 @@ def _g_squared_batch(
     ``x`` and ``y`` hold T columns and ``s`` has shape (T, |S|); its rows
     need not be sorted. The tables come from the co-occurrence counts in
     ``packed`` and popcounts of ANDed columns (``_cooccurrence_tables``),
-    in chunks of about ``_BATCH_WORDS`` words per operand. At levels where
-    the 2**|S| strata would cost more than a bincount of the rows, each
-    test is a bincount instead.
+    in chunks of about ``_BATCH_WORDS`` words per stratum; at |S| = 0 every
+    count is looked up, so the batch is one chunk. At levels where the
+    2**|S| strata would cost more than a bincount of the rows, each test
+    is a bincount instead.
     """
     level = s.shape[1]
     _check_cond_size(level)
@@ -293,7 +322,7 @@ def _g_squared_batch(
             (statistic[t],), (dof[t],) = _g_squared(tables)
         return statistic, dof
     s = np.sort(s, axis=1)
-    step = max(1, _BATCH_WORDS // ((1 << level) * max(words, 1)))
+    step = max(1, _BATCH_WORDS // ((1 << level) * max(words, 1)) if level else len(x))
     for start in range(0, len(x), step):
         part = slice(start, start + step)
         tables = _cooccurrence_tables(packed, z.rows, x[part], y[part], s[part])
@@ -328,62 +357,87 @@ class Skeleton:
         return [int(j) for j in np.flatnonzero(self.adjacency[i])]
 
 
-def _candidates(
-    frozen: dict[int, list[int]], u: int, v: int, level: int
-) -> Iterator[tuple[int, ...]]:
-    """Size-level subsets of adj(u)\\{v}, then of adj(v)\\{u}, each in
-    lexicographic column order and each subset once, as sorted tuples."""
-    pool_u = [w for w in frozen[u] if w != v]
-    pool_v = [w for w in frozen[v] if w != u]
-    # a subset of adj(v) was already asked when adj(u) holds all of it
-    seen = set(pool_u).issuperset
+def _decided(decide: BatchTest, x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``decide(x, y, s)`` as a bool array, checked to hold one result per test."""
+    hit = np.asarray(decide(x, y, s))
+    if hit.shape != x.shape:
+        raise ValueError(f"decide returned shape {hit.shape} for tests of shape {x.shape}")
+    return hit.astype(bool, copy=False)
+
+
+def _subsets(nbrs: list[list[int]], u: int, v: int, level: int) -> Iterator[tuple[int, ...]]:
+    """Size-level subsets of adj(u)\\{v}, then those of adj(v)\\{u} not inside
+    adj(u), each in lexicographic column order, as sorted tuples."""
+    pool_u, pool_v = nbrs[u].copy(), nbrs[v].copy()
+    pool_u.remove(v)
+    pool_v.remove(u)
     return chain(
         combinations(pool_u, level),
-        (subset for subset in combinations(pool_v, level) if not seen(subset)),
+        filterfalse(set(pool_u).issuperset, combinations(pool_v, level)),
     )
 
 
-def _ask(
-    decide: BatchTest, pairs: list[tuple[int, int]], flat: list[int], level: int
-) -> list[bool]:
-    """One call of ``decide`` on each pair given its size-level subset, the
-    subsets laid end to end in ``flat``."""
-    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    s = np.array(flat, dtype=np.intp).reshape(len(pairs), level)
-    return decide(ends[:, 0], ends[:, 1], s).tolist()
+def _candidate_table(
+    sources: dict[int, Iterator[tuple[int, ...]]], playing: np.ndarray, level: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next block of at most ``_BLOCK`` candidates of each playing pair,
+    laid end to end in a flat (N, level) table, and each pair's start row
+    and count in it.
+
+    The blocks are read in one pass, each followed by a row of -1 that
+    marks where it ends.
+    """
+    end = (-1,) * level
+    blocks = (chain(islice(sources[p], _BLOCK), (end,)) for p in playing.tolist())
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(blocks)), np.intp)
+    flat = flat.reshape(-1, level)
+    ends = np.flatnonzero(flat[:, 0] < 0)
+    start = np.concatenate([[0], ends[:-1] + 1])
+    return flat, start, ends - start
 
 
 def _first_independent(
-    pairs: list[tuple[int, int]], frozen: dict[int, list[int]], level: int, decide: BatchTest
-) -> dict[tuple[int, int], tuple[int, ...]]:
-    """The first independent size-level candidate of each pair that has one.
+    decide: BatchTest, adj: np.ndarray, u: np.ndarray, v: np.ndarray, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (u[i], v[i]) with an independent size-level candidate, as
+    ascending indices i, and that first candidate of each, shape (H, level).
 
     Wave r asks every pair still in play for its r-th candidate in one
     call of ``decide``; a pair leaves at its first independent candidate
-    or when its candidates run out.
+    or when its candidates run out. The candidate table holds a block of
+    at most ``_BLOCK`` candidates per pair, and the r-th wave of a block
+    reads row start + r of each pair in play; the pairs still in play when
+    a wave reaches the end of a block take their next block.
     """
     if level == 0:  # one candidate per pair, the empty set: one wave
-        hits = _ask(decide, pairs, [], 0)
-        return {pair: () for pair, hit in zip(pairs, hits) if hit}
-    found = {}
-    playing = [(pair, _candidates(frozen, *pair, level)) for pair in pairs]
-    while playing:
-        asked, flat = [], []
-        for pair, candidates in playing:
-            subset = next(candidates, None)
-            if subset is not None:
-                asked.append((pair, candidates, subset))
-                flat.extend(subset)
-        if not asked:
-            break
-        hits = _ask(decide, [pair for pair, _, _ in asked], flat, level)
-        playing = []
-        for (pair, candidates, subset), hit in zip(asked, hits):
-            if hit:
-                found[pair] = subset
-            else:
-                playing.append((pair, candidates))
-    return found
+        hit = np.flatnonzero(_decided(decide, u, v, np.empty((len(u), 0), np.intp)))
+        return hit, np.empty((len(hit), 0), np.intp)
+    deg = adj.sum(axis=1)
+    cols = np.nonzero(adj)[1].tolist()
+    ends = np.cumsum(deg).tolist()
+    nbrs = [cols[a:b] for a, b in zip([0, *ends], ends)]
+    # a pair has a candidate when either end has more than level neighbours
+    playing = np.flatnonzero(np.maximum(deg[u], deg[v]) > level)
+    sources = {
+        i: _subsets(nbrs, a, b, level)
+        for i, a, b in zip(playing.tolist(), u[playing].tolist(), v[playing].tolist())
+    }
+    found = np.zeros(len(u), dtype=bool)
+    subsets = np.empty((len(u), level), np.intp)
+    while len(playing):
+        flat, start, count = _candidate_table(sources, playing, level)
+        for r in range(_BLOCK):
+            live = count > r
+            playing, start, count = playing[live], start[live], count[live]
+            if not len(playing):
+                break
+            s = flat[start + r]
+            hit = _decided(decide, u[playing], v[playing], s)
+            found[playing[hit]] = True
+            subsets[playing[hit]] = s[hit]
+            playing, start, count = playing[~hit], start[~hit], count[~hit]
+    found = np.flatnonzero(found)
+    return found, subsets[found]
 
 
 def skeleton_from_ci(
@@ -397,37 +451,34 @@ def skeleton_from_ci(
     Removals are committed only once a level completes, so the result does
     not depend on scan order.
 
-    A level runs in waves (``_first_independent``): wave r asks every pair
-    still in play for its r-th candidate, and all of those tests are
-    decided in one call of ``decide(x, y, s)``, with x and y of shape (T,)
-    and s of shape (T, l), which returns a bool array of shape (T,), True
-    where the pair is independent given s. Each pair is asked the
-    candidates a one-at-a-time search would ask, in the same order, so the
-    test count of every level and the sepsets are the same.
+    The adjacency is one (k, k) bool matrix and a level's pairs are its
+    upper triangle in row order. A level runs in waves
+    (``_first_independent``): wave r asks every pair still in play for its
+    r-th candidate, an index slice of the level's candidate table, and all
+    of those tests are decided in one call of ``decide(x, y, s)``, with x
+    and y of shape (T,) and s of shape (T, l). It returns an array or list
+    of shape (T,), True (or nonzero) where the pair is independent given
+    s; any other shape is a ValueError. Level 0 is one wave over every
+    pair. Each pair is asked the candidates a one-at-a-time search would
+    ask, in the same order, so the test count of every level and the
+    sepsets are the same; a level's removals are committed in pair order.
     """
     if max_cond_size < 0:
         raise ValueError("max_cond_size must be >= 0")
     cap = min(k - 2, max_cond_size)
-    adj = {i: set(range(k)) - {i} for i in range(k)}
+    adj = ~np.eye(k, dtype=bool)
     sepsets: dict[tuple[int, int], frozenset[int]] = {}
 
     for level in range(cap + 1):
-        frozen = {i: sorted(adj[i]) for i in range(k)}
-        if not any(len(nbrs) > level for nbrs in frozen.values()):
+        if not (adj.sum(axis=1) > level).any():
             break
-        pairs = [(u, v) for u in range(k) for v in frozen[u] if v > u]
-        found = _first_independent(pairs, frozen, level, decide)
-        # committed in pair order, as a one-at-a-time search would
-        for (u, v), subset in sorted(found.items()):
-            adj[u].discard(v)
-            adj[v].discard(u)
-            sepsets[(u, v)] = frozenset(subset)
-
-    adjacency = np.zeros((k, k), dtype=bool)
-    for i in range(k):
-        for j in adj[i]:
-            adjacency[i, j] = True
-    return Skeleton(adjacency=adjacency, sepsets=sepsets)
+        u, v = np.nonzero(np.triu(adj))
+        found, subsets = _first_independent(decide, adj, u, v, level)
+        u, v = u[found], v[found]
+        adj[u, v] = adj[v, u] = False
+        sets = map(frozenset, subsets.tolist()) if level else repeat(frozenset())
+        sepsets.update(zip(zip(u.tolist(), v.tolist()), sets))
+    return Skeleton(adjacency=adj, sepsets=sepsets)
 
 
 def _assemble(
@@ -570,8 +621,9 @@ def discover_cpdag(
     except ValueError as e:
         raise ParseError(f"incidence column keys are not node keys: {e}") from e
     packed = _pack(z.cells)
+    independent = _cut_table(alpha)
 
     def decide(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return _independent(*_g_squared_batch(z, packed, x, y, s), alpha)
+        return independent(*_g_squared_batch(z, packed, x, y, s))
 
     return cpdag_from_ci(z.cols, decide, points, max_cond_size=max_cond_size)

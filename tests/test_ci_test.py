@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy import integrate
 from scipy.special import gammainccinv
 
@@ -12,6 +13,7 @@ from conftest import one_at_a_time
 import cama.discovery
 from cama.discovery import (
     CiTestResult,
+    _cut_table,
     _g_squared_batch,
     _independent,
     _pack,
@@ -475,6 +477,65 @@ def test_popcount_reads_per_test(monkeypatch):
     assert {level for level, _ in batches} == set(per_test)
     for wave, (level, tests) in enumerate(batches):
         assert reads[wave] == per_test[level] * tests, (wave, level, tests)
+
+
+def test_level_zero_wave_is_one_table_call(monkeypatch):
+    # a level-0 table reads no packed word, so a wave of 240 tests on 50k
+    # rows is one call; level 1 keeps chunks of _BATCH_WORDS words per
+    # stratum: 41 tests of 2 strata and 782 words
+    calls = []
+    tables = cama.discovery._cooccurrence_tables
+
+    def counting(packed, rows, x, y, s):
+        calls.append((s.shape[1], len(x)))
+        return tables(packed, rows, x, y, s)
+
+    monkeypatch.setattr(cama.discovery, "_cooccurrence_tables", counting)
+    rng = np.random.default_rng(50)
+    z = sweep_matrix(rng, 50_000, 14, "mixed")
+    x, y, s = all_tests(z.cols, 0)
+    assert_batch_matches_scalar(z, x, y, s)
+    assert calls == [(0, 240)]
+    calls.clear()
+    assert_batch_matches_scalar(z, *random_tests(rng, z.cols, 1, 120))
+    step = cama.discovery._BATCH_WORDS // (2 * 782)
+    assert calls == [(1, step), (1, step), (1, 120 - 2 * step)]
+
+
+def test_cut_table_computes_each_dof_once(monkeypatch):
+    # one discovery computes the cut of each dof its waves meet once
+    asked, dofs = [], []
+    inverse, kernel = scipy.special.gammainccinv, cama.discovery._g_squared_batch
+
+    def recording_inverse(a, q):
+        asked.extend(np.ravel(a).tolist())
+        return inverse(a, q)
+
+    def recording_kernel(*args):
+        statistic, dof = kernel(*args)
+        dofs.append(dof)
+        return statistic, dof
+
+    monkeypatch.setattr(scipy.special, "gammainccinv", recording_inverse)
+    monkeypatch.setattr(cama.discovery, "_g_squared_batch", recording_kernel)
+    z = sample_incidence(random_true_dag(12, 2 / 11, seed=3), 4000, seed=3)
+    discover_cpdag(z)
+    met = np.unique(np.concatenate(dofs))
+    assert sorted(asked) == (met[met > 0] / 2).tolist()
+    assert len(dofs) > len(asked)
+
+
+def test_cut_table_decides_as_p_values_across_calls():
+    # cuts kept from earlier calls decide as fresh ones: each call mixes
+    # dofs met before with new ones, statistics on and near their cuts
+    rng = np.random.default_rng(1)
+    independent = _cut_table(0.05)
+    for dofs in ([3, 1], [1, 7, 3], [64, 0], [2, 7, 1, 0, 64]):
+        dof = np.repeat(dofs, 20)
+        cut = np.where(dof > 0, 2.0 * gammainccinv(np.maximum(dof, 1) / 2.0, 0.05), 1.0)
+        statistic = cut * (1 + rng.choice([0.0, 1e-7, -1e-7, 1e-3, -1e-3], len(dof)))
+        want = chi2_sf(statistic, dof) > 0.05
+        assert np.array_equal(independent(statistic, dof), want), dofs
 
 
 class TestIndependentDecision:

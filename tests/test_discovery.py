@@ -138,6 +138,29 @@ class TestPcSkeleton:
         assert {0, 1, 2} <= sizes
 
 
+class TestDecideResult:
+    def test_short_result_is_refused(self):
+        # 4 columns give 6 level-0 tests; one result too few must not leave
+        # the last pair adjacent unasked
+        with pytest.raises(ValueError, match=r"shape \(5,\).*shape \(6,\)"):
+            skeleton_from_ci(4, lambda x, y, s: np.ones(len(x) - 1, bool))
+        with pytest.raises(ValueError, match=r"shape \(6, 1\).*shape \(6,\)"):
+            skeleton_from_ci(4, lambda x, y, s: np.ones((len(x), 1), bool))
+
+    @pytest.mark.parametrize("form", ["list", "int array"])
+    def test_list_and_int_results_act_as_bool(self, form):
+        # a 0/1 int array used as an index would pick pairs 0 and 1 instead
+        # of the independent ones
+        convert = {"list": lambda a: a.tolist(), "int array": lambda a: a.astype(int)}[form]
+        for seed in range(5):
+            dag = random_true_dag(8, 0.35, seed=seed)
+            decide = dsep_independence(dag)
+            want = skeleton_from_ci(dag.k, decide)
+            got = skeleton_from_ci(dag.k, lambda x, y, s: convert(decide(x, y, s)))
+            assert (got.adjacency == want.adjacency).all(), seed
+            assert list(got.sepsets.items()) == list(want.sepsets.items()), seed
+
+
 class TestOrientVStructures:
     def test_collider_oriented(self):
         sk = skeleton_of([(0, 2), (1, 2)], 3, sepsets={(0, 1): frozenset()})

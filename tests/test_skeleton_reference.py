@@ -8,6 +8,7 @@ must give the same adjacency, the same sepsets in the same insertion order
 and the same number of tests at every level.
 """
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -145,3 +146,23 @@ def test_g_squared_waves_ask_the_reference_tests(monkeypatch, masks):
         assert_same_search(skeletons[-1], got_sizes, want, want_sizes, seed)
         deepest = max(deepest, *want_sizes)
     assert deepest >= 2
+
+
+def test_candidate_table_memory_grows_with_pairs():
+    # on 60 columns that stay complete until |S| = 2, each of the 1770
+    # pairs has C(58, 2) = 1653 level-2 candidates and leaves at its first:
+    # a table of whole candidate lists would hold about 2.9 M rows (47 MB)
+    # where a one-at-a-time search builds 1770
+    k = 60
+    decide, got_sizes = counted_batch(lambda x, y, s: np.full(len(x), s.shape[1] == 2))
+    tracemalloc.start()
+    try:
+        got = skeleton_from_ci(k, decide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    independent, want_sizes = counted(lambda u, v, s: len(s) == 2)
+    want = ref_skeleton_from_ci(k, independent)
+    assert_same_search(got, got_sizes, want, want_sizes, k)
+    assert got_sizes == {0: 1770, 1: 1770 * 58, 2: 1770}
+    assert peak < 16 * 2**20, peak
