@@ -1,10 +1,10 @@
 import math
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
-import scipy.special
 from scipy import integrate
 from scipy.special import gammainccinv
 
@@ -14,6 +14,7 @@ import cama.discovery
 from cama.discovery import (
     CiTestResult,
     _cut_table,
+    _g_squared,
     _g_squared_batch,
     _independent,
     _pack,
@@ -502,26 +503,52 @@ def test_level_zero_wave_is_one_table_call(monkeypatch):
     assert calls == [(1, step), (1, step), (1, 120 - 2 * step)]
 
 
+def test_level_zero_batch_memory_is_bounded():
+    # all 499,500 pairs of 1000 columns in one level-0 batch: chunks of
+    # _BATCH_WORDS tests keep the peak under 40 MB (about 25 MB measured),
+    # where one chunk of every test peaks near 140 MB, and give its
+    # statistics and dofs bit for bit
+    rng = np.random.default_rng(60)
+    k, rows = 1000, 200
+    z = IncidenceMatrix(
+        cells=(rng.random((rows, k)) < 0.3).astype(np.uint8),
+        row_ids=tuple(map(str, range(rows))),
+        col_keys=tuple(f"c{i}" for i in range(k)),
+    )
+    packed = _pack(z.cells)
+    x, y = np.triu_indices(k, 1)
+    s = np.empty((len(x), 0), np.intp)
+    tracemalloc.start()
+    try:
+        statistic, dof = _g_squared_batch(z, packed, x, y, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
+    one_chunk = _g_squared(cama.discovery._cooccurrence_tables(packed, rows, x, y, s))
+    assert np.array_equal(statistic, one_chunk[0]) and np.array_equal(dof, one_chunk[1])
+
+
 def test_cut_table_computes_each_dof_once(monkeypatch):
     # one discovery computes the cut of each dof its waves meet once
     asked, dofs = [], []
-    inverse, kernel = scipy.special.gammainccinv, cama.discovery._g_squared_batch
+    inverse, kernel = cama.discovery._chi2_cut, cama.discovery._g_squared_batch
 
-    def recording_inverse(a, q):
-        asked.extend(np.ravel(a).tolist())
-        return inverse(a, q)
+    def recording_inverse(dof, alpha):
+        asked.append(dof)
+        return inverse(dof, alpha)
 
     def recording_kernel(*args):
         statistic, dof = kernel(*args)
         dofs.append(dof)
         return statistic, dof
 
-    monkeypatch.setattr(scipy.special, "gammainccinv", recording_inverse)
+    monkeypatch.setattr(cama.discovery, "_chi2_cut", recording_inverse)
     monkeypatch.setattr(cama.discovery, "_g_squared_batch", recording_kernel)
     z = sample_incidence(random_true_dag(12, 2 / 11, seed=3), 4000, seed=3)
     discover_cpdag(z)
     met = np.unique(np.concatenate(dofs))
-    assert sorted(asked) == (met[met > 0] / 2).tolist()
+    assert sorted(asked) == met[met > 0].tolist()
     assert len(dofs) > len(asked)
 
 

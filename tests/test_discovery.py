@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import one_at_a_time
+from test_ci_test import sparse_dag
 from test_oracle import chain_dag, collider_dag, fork_dag
 from test_skeleton_reference import ref_skeleton_from_ci
 
@@ -17,7 +18,7 @@ from cama.discovery import (
     skeleton_from_ci,
     Skeleton,
 )
-from cama.graph import Mcg, graphs_equal, topological_order
+from cama.graph import Mcg, edge_keys, graphs_equal, topological_order
 from cama.matrix import IncidenceMatrix
 from cama.model import KnowledgePoint
 from cama.oracle import (
@@ -327,6 +328,41 @@ class TestDiscoverCpdag:
                 shd += structural_hamming_distance(g, truth)
                 skeleton += len(pairs(g) ^ pairs(truth))
             assert shd <= max_shd and skeleton <= max_skeleton, (n, shd, skeleton)
+
+
+def permuted_columns(z: IncidenceMatrix, order) -> IncidenceMatrix:
+    """``z`` with new column j holding old column order[j], keys included."""
+    return IncidenceMatrix(
+        cells=z.cells[:, order],
+        row_ids=z.row_ids,
+        col_keys=tuple(z.col_keys[j] for j in order),
+    )
+
+
+def skeleton_keys(g: Mcg) -> set[frozenset[str]]:
+    directed, undirected = edge_keys(g)
+    return {frozenset(edge) for edge in directed} | undirected
+
+
+def column_order_cases():
+    """(name, matrix) of dense random DAGs and sparse tables like extracted
+    incidence."""
+    for k, rows, seed in [(10, 2000, 0), (20, 5000, 1), (20, 20000, 2), (40, 5000, 3)]:
+        yield f"dense-{k}x{rows}", sample_incidence(random_true_dag(k, 2 / (k - 1), seed), rows, seed)
+    for k, seed in [(60, 4), (120, 5)]:
+        yield f"sparse-{k}x3000", sample_incidence(sparse_dag(k, seed=seed), 3000, seed=seed)
+
+
+@pytest.mark.parametrize("name, z", list(column_order_cases()))
+def test_column_order_leaves_skeleton_by_key(name, z):
+    # the level-synchronized search decides each level on its frozen
+    # adjacency, so the skeleton does not depend on the column order; the
+    # orientations still may (colliders from order-dependent sepsets)
+    want = skeleton_keys(discover_cpdag(z))
+    rng = np.random.default_rng(z.cols)
+    for _ in range(3):
+        got = discover_cpdag(permuted_columns(z, rng.permutation(z.cols)))
+        assert skeleton_keys(got) == want
 
 
 class TestCpdagAgainstEquivalenceClass:

@@ -1,5 +1,5 @@
-"""SciPy loads on the first chi-square, not on import; NumPy loads only in
-the commands that compute on an incidence matrix.
+"""No command loads SciPy, discovery included; NumPy loads only in the
+commands that compute on an incidence matrix.
 
 Each check runs in a fresh interpreter: in this process other test modules
 have already imported SciPy and NumPy. ``conftest`` imports NumPy, so a
@@ -100,7 +100,7 @@ def test_cli_evaluate_loads_no_scipy():
     assert out == {"pass_at_1": 0.5, "scipy": False}
 
 
-def test_fresh_discovery_loads_scipy_and_matches_in_process():
+def test_fresh_discovery_loads_no_scipy_and_matches_in_process():
     dag = random_true_dag(8, 0.3, seed=5)
     z = sample_incidence(dag, 3000, seed=5)
     expected = serialize_graph(discover_cpdag(z))
@@ -117,7 +117,7 @@ def test_fresh_discovery_loads_scipy_and_matches_in_process():
         print(json.dumps({"before": before, "after": "scipy" in sys.modules, "graph": graph}))
         """
     )
-    assert (out["before"], out["after"]) == (False, True)
+    assert (out["before"], out["after"]) == (False, False)
     assert out["graph"] == expected
 
 
@@ -179,7 +179,7 @@ def test_fresh_synth_and_discover_match_in_process(tmp_path):
     assert steps == {
         "import cama.cli": [],
         "synth": [None, "numpy"],
-        "discover": [None, "numpy", "scipy"],
+        "discover": [None, "numpy"],
     }
     for name in ("incidence.csv", "true_cpdag.json", "graph.json"):
         assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
