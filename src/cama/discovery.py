@@ -15,30 +15,45 @@ masked assignment. Each higher level lays the candidate conditioning sets
 of its pairs end to end in one (N, |S|) table, a block of at most
 ``_BLOCK`` per pair at a time, with each pair's start row and count; the
 r-th wave of a block asks every pair still in play for row start + r in
-one call of the decision, and the pairs in play shrink by boolean masks. A pair leaves at
-its first independent candidate, so the tests asked and the sepsets are
-those of a one-at-a-time search, and removals are committed only when a
-level ends. With G-squared a batch is one kernel for any |S|. Once per
-discovery the columns are packed into bit words and each column and each
-pair of columns has its rows with 1 counted. A test's tables come by
+one call of the decision, and the pairs in play shrink by boolean masks.
+Level 1's table comes from neighbour masks of the adjacency matrix, one
+``np.nonzero`` over a bounded number of pairs at a time; higher levels
+read one ``_subsets`` source per pair. A pair leaves at its first
+independent candidate, so the tests asked and the sepsets are those of a
+one-at-a-time search, and removals are committed only when a level ends.
+Each removal's level goes into a (k, k) int8 matrix, so the pairs removed
+at level 0, whose sepsets are all empty, take no dict entry; a
+skeleton's ``sepsets`` is a read-only mapping over that matrix and a
+dict of the later removals. A sepset key passed to ``Skeleton`` must be
+a non-adjacent pair (u, v) with u < v whose set holds neither, the key
+``orient_v_structures`` looks up.
+
+With G-squared a batch is one kernel for any |S|. Once per discovery the
+columns are packed into bit words and each column and each pair of
+columns has its rows with 1 counted. A test's tables come by
 inclusion-exclusion from the counts of rows where a subset of its columns
 is all 1: subsets of one or two columns are looked up, and only larger
 ones are popcounts of ANDed packed columns. A test given no column reads
-no packed word, and a test given one column reads one. The cut that the
-statistic of each degree of freedom is compared with is computed once per
-discovery; only a statistic within 1e-6 of its cut gets its p-value. The
-dof of a test is a whole number, so the chi-square tail has a closed form
-(Abramowitz & Stegun 26.4.4-26.4.5) and its cut follows by Newton's
-method, both in the standard library and within 3e-12 (relative) of
-SciPy's incomplete gamma functions (``chi2_sf``, ``_chi2_cut``).
+no packed word, and a test given one column reads one. The tables lie
+with the tests along their last axis, so the statistic is elementwise
+adds over whole cells and strata, never a sum over an axis of length 2.
+The cut that the statistic of each degree of freedom is compared with is
+computed once per discovery; only a statistic within 1e-6 of its cut gets
+its p-value. The dof of a test is a whole number, so the chi-square tail
+has a closed form (Abramowitz & Stegun 26.4.4-26.4.5) and its cut follows
+by Newton's method, both in the standard library and within 3e-12
+(relative) of SciPy's incomplete gamma functions (``chi2_sf``,
+``_chi2_cut``).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, combinations, filterfalse, islice, repeat
+from itertools import chain, combinations, filterfalse, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -61,6 +76,9 @@ _BATCH_WORDS = 1 << 16
 
 # candidates of one pair that a level's candidate table holds at once
 _BLOCK = 64
+
+# bool cells of the neighbour masks that lay out level 1's candidates at once
+_MASK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -200,7 +218,7 @@ def g_squared_ci_test(
 
 
 def _bincount_tables(cells: np.ndarray, x: int, y: int, s: Sequence[int]) -> np.ndarray:
-    """The (1, strata, 2, 2) tables of one test from one bincount of its rows.
+    """The (strata, 2, 2, 1) tables of one test from one bincount of its rows.
 
     Each row gets the code (x << 1) | y | sum(s_i << (i + 2)), s_i the i-th
     column of the sorted ``s``, and one bincount of the codes gives the
@@ -220,32 +238,42 @@ def _bincount_tables(cells: np.ndarray, x: int, y: int, s: Sequence[int]) -> np.
         flat = (strata << 2) | (flat & 3)
         # a matrix without rows still gets one (empty) stratum
         n_strata = max(len(present), 1)
-    return np.bincount(flat, minlength=4 * n_strata).reshape(1, n_strata, 2, 2)
+    return np.bincount(flat, minlength=4 * n_strata).reshape(n_strata, 2, 2, 1)
 
 
 def _g_squared(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Statistic and dof of each of T stacked tests.
 
-    ``counts[t, stratum, a, b]`` counts the rows of the stratum with x = a
+    ``counts[stratum, a, b, t]`` counts the rows of the stratum with x = a
     and y = b. A stratum is live when x and y both vary in it; each live
     stratum adds 2 * sum(O * ln(O/E)), E from its margins and zero O adding
-    nothing, and one degree of freedom. The terms are summed in stratum
-    order, dead strata adding an exact 0.0. A test with zero dof gets
-    statistic 0; ``chi2_sf`` gives it p-value 1, so it is independent.
+    nothing, and one degree of freedom. The four terms of a stratum are
+    added in the order (0, 0), (0, 1), (1, 0), (1, 1), and the strata in
+    stratum order, dead strata adding an exact 0.0. A test with zero dof
+    gets statistic 0; ``chi2_sf`` gives it p-value 1, so it is independent.
+
+    The tests lie along the last axis, so every step is an elementwise
+    operation over (strata, T) arrays: the margins, the live strata and
+    each stratum's four-term sum are explicit adds of whole cells, not sums
+    over an axis of length 2, and dead strata are masked rather than
+    gathered out. The sums keep the order above, so the statistics are bit
+    for bit those of a loop over the strata (``tests/test_ci_test.py``).
     """
-    x_margin = counts.sum(axis=3)
-    y_margin = counts.sum(axis=2)
-    live = np.minimum(x_margin, y_margin).min(axis=2) > 0
-    table = counts[live]
-    margins = x_margin[live][:, :, None] * y_margin[live][:, None, :]
-    expected = margins / table.sum(axis=(1, 2))[:, None, None]
-    observed = table.astype(np.float64)
-    ratio = np.where(table > 0, observed / expected, 1.0)
-    terms = np.zeros(live.shape)
-    terms[live] = (observed * np.log(ratio)).reshape(-1, 4).sum(axis=1)
+    tests = counts.shape[-1]
+    cells = counts.reshape(len(counts), 4, tests).transpose(1, 0, 2)  # (4, strata, T)
+    x_margin = cells[0::2] + cells[1::2]  # x = 0, x = 1
+    y_margin = cells[:2] + cells[2:]  # y = 0, y = 1
+    least = np.minimum(x_margin, y_margin)
+    live = np.minimum(least[0], least[1]) > 0
+    margins = (x_margin[:, None] * y_margin[None, :]).reshape(cells.shape)
+    # dead strata keep E = 1 and O/E = 1, so each of their terms is 0.0
+    expected = np.divide(margins, x_margin[0] + x_margin[1], out=np.ones(cells.shape), where=live)
+    ratio = np.divide(cells, expected, out=np.ones(cells.shape), where=(cells > 0) & live)
+    term = cells * np.log(ratio)
+    terms = term[0] + term[1] + term[2] + term[3]
     # a running sum in stratum order, as a loop over the strata would add
-    statistic = np.maximum((2.0 * terms).cumsum(axis=1)[:, -1], 0.0)
-    dof = live.sum(axis=1)
+    statistic = np.maximum((2.0 * terms).cumsum(axis=0)[-1], 0.0)
+    dof = np.count_nonzero(live, axis=0)
     return statistic, dof
 
 
@@ -311,16 +339,31 @@ def _pack(cells: np.ndarray) -> _Packed:
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    # a uint32 sum is about twice as fast as an int64 one on 782 words, and
+    # holds the count of any column under 2**32 rows
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.uint32)
+
+
+@functools.cache
+def _subset_index(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """For m columns: the subset index of each single column, the lower and
+    higher column of each pair of columns, and the subset index of each
+    pair, pairs in ``combinations`` order; read-only, as every call shares
+    them."""
+    low, high = np.array(list(combinations(range(m), 2)), dtype=np.intp).reshape(-1, 2).T
+    index = (1 << np.arange(m), low, high, 1 << low | 1 << high)
+    for array in index:
+        array.flags.writeable = False
+    return index
 
 
 def _cooccurrence_tables(
     packed: _Packed, rows: int, x: np.ndarray, y: np.ndarray, s: np.ndarray
 ) -> np.ndarray:
-    """(T, 2**l, 2, 2) tables of T tests, s of shape (T, l) with sorted rows.
+    """(2**l, 2, 2, T) tables of T tests, s of shape (T, l) with sorted rows.
 
     A test has the m = l + 2 columns y, x, s_0, ..., s_{l-1}, column p
-    standing for bit p of a subset index u. ``counts[t, u]`` first counts
+    standing for bit p of a subset index u. ``counts[u, t]`` first counts
     the rows where every column of u is 1: ``rows`` for no column, ``ones``
     for one and ``both`` for two, so no packed word is read for these. A
     set of three or more is the AND of a smaller set's words with its
@@ -328,17 +371,19 @@ def _cooccurrence_tables(
     count at 0 minus the count at 1) then leaves the rows where exactly
     the columns of u are 1, which is ``_bincount_tables``' order of
     stratum, x and y. Padding bits are 0 in every column, and every AND
-    holds a column, so none enters a count.
+    holds a column, so none enters a count. The tests lie along the last
+    axis, so each step works on whole rows of T counts.
     """
-    cols = np.column_stack([y, x, s])
-    tests, m = cols.shape
-    counts = np.empty((tests, 1 << m), dtype=np.int64)
-    counts[:, 0] = rows
-    counts[:, 1 << np.arange(m)] = packed.ones[cols]
-    low, high = np.array(list(combinations(range(m), 2))).T
-    counts[:, 1 << low | 1 << high] = packed.both[cols[:, low], cols[:, high]]
+    tests, m = len(x), s.shape[1] + 2
+    cols = np.empty((m, tests), dtype=np.intp)
+    cols[0], cols[1], cols[2:] = y, x, s.T
+    counts = np.empty((1 << m, tests), dtype=np.int64)
+    counts[0] = rows
+    singles, low, high, pairs = _subset_index(m)
+    counts[singles] = packed.ones[cols]
+    counts[pairs] = packed.both[cols[low], cols[high]]
     if m > 2:
-        words = packed.words[cols.T]
+        words = packed.words[cols]
         # before step p, ands[i] holds the ANDed words of the i-th set of
         # two or more of columns 0..p-1, keys[i] its subset index
         ands = np.empty(((1 << m - 1) - m, *words.shape[1:]), dtype=np.uint64)
@@ -348,14 +393,14 @@ def _cooccurrence_tables(
             n, last = len(keys), p + 1 == m
             grown = np.bitwise_and(ands[:n], words[p], out=None if last else ands[n : 2 * n])
             keys += [key | 1 << p for key in keys]
-            counts[:, keys[n:]] = _popcount(grown).T
+            counts[keys[n:]] = _popcount(grown)
             if not last:
                 np.bitwise_and(words[:p], words[p], out=ands[2 * n : 2 * n + p])
                 keys += [1 << q | 1 << p for q in range(p)]
     for p in range(m):
-        half = counts.reshape(tests, -1, 2, 1 << p)
-        half[:, :, 0] -= half[:, :, 1]
-    return counts.reshape(tests, -1, 2, 2)
+        half = counts.reshape(1 << m - p - 1, 2, tests << p)
+        half[:, 0] -= half[:, 1]
+    return counts.reshape(-1, 2, 2, tests)
 
 
 def _masks_are_cheaper(level: int, words: int) -> bool:
@@ -411,16 +456,69 @@ def _g_squared_batch(
     return statistic, dof
 
 
+class _Sepsets(Mapping):
+    """The separating sets of a skeleton's removed pairs, read-only.
+
+    ``levels`` is the (k, k) int8 matrix of the level at which each pair
+    was removed, -1 where it was not (a level past 127 reads 127); every
+    pair removed at level 0 has the empty sepset and is read from it. The
+    sepsets of the other removed pairs are the dict ``later``. Pairs are
+    keyed (u, v) with u < v, and come in the order the search removed
+    them: the level-0 pairs in row order, then ``later`` in its order.
+    """
+
+    __slots__ = ("levels", "later")
+
+    def __init__(self, levels: np.ndarray, later: dict[tuple[int, int], frozenset[int]]):
+        self.levels, self.later = levels, later
+
+    def __getitem__(self, key):
+        found = self.later.get(key)
+        if found is not None:
+            return found
+        pair = _pair(key, len(self.levels))
+        if pair is not None and self.levels[pair] == 0:
+            return frozenset()
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        u, v = np.nonzero(np.triu(self.levels == 0))
+        return chain(zip(u.tolist(), v.tolist()), self.later)
+
+    def __len__(self) -> int:
+        return np.count_nonzero(self.levels == 0) // 2 + len(self.later)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+def _pair(key, k: int) -> tuple[int, int] | None:
+    """``key`` as (u, v) if it is a pair of columns with 0 <= u < v < k."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        return None
+    u, v = key
+    if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
+        return None
+    return (int(u), int(v)) if 0 <= u < v < k else None
+
+
 @dataclass(frozen=True)
 class Skeleton:
     """Undirected adjacency plus the separating sets found for removed pairs.
 
-    ``sepsets`` maps each removed pair (u, v), keyed with u < v, to its
-    separating set as a frozenset; it is stored as given.
+    ``sepsets`` is a read-only mapping from each removed pair (u, v),
+    u < v, to its separating set. ``skeleton_from_ci`` keeps the pairs it
+    removed at level 0 in a (k, k) removal-level matrix, since their sets
+    are all empty, and only the later ones in a dict (``_Sepsets``). A
+    mapping passed in is copied and checked: each key must be a pair (u,
+    v) with 0 <= u < v < k that is not adjacent, and its set must hold
+    neither u nor v; otherwise it is a ValueError, as a key that
+    ``orient_v_structures`` never looks up would silently leave its
+    colliders undirected.
     """
 
     adjacency: np.ndarray
-    sepsets: dict[tuple[int, int], frozenset[int]]
+    sepsets: Mapping[tuple[int, int], frozenset[int]]
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=bool)
@@ -429,6 +527,20 @@ class Skeleton:
         if not (adj == adj.T).all() or adj.diagonal().any():
             raise ValueError("adjacency must be symmetric with a false diagonal")
         object.__setattr__(self, "adjacency", adj)
+        if not isinstance(self.sepsets, _Sepsets):
+            later = dict(self.sepsets)
+            for key, sepset in later.items():
+                pair = _pair(key, len(adj))
+                if pair is None:
+                    raise ValueError(
+                        f"sepset key {key!r} is not a pair (u, v) with 0 <= u < v < {len(adj)}"
+                    )
+                if adj[pair]:
+                    raise ValueError(f"sepset key {key!r} names an adjacent pair")
+                if pair[0] in sepset or pair[1] in sepset:
+                    raise ValueError(f"the sepset of {key!r} holds one of its own pair")
+            levels = np.full(adj.shape, -1, dtype=np.int8)
+            object.__setattr__(self, "sepsets", _Sepsets(levels, later))
 
     @property
     def k(self) -> int:
@@ -477,36 +589,82 @@ def _candidate_table(
     return flat, start, ends - start
 
 
+def _neighbour_table(
+    adj: np.ndarray, u: np.ndarray, v: np.ndarray, playing: np.ndarray, first: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_candidate_table`` at level 1, from the adjacency matrix: candidates
+    ``first`` to ``first + _BLOCK - 1`` of each playing pair (u[i], v[i]).
+
+    A pair's level-1 candidates are adj(u)\\{v}, then adj(v)\\{u} outside
+    adj(u), each ascending, as ``_subsets`` gives them. One (pairs, 2, k)
+    bool mask holds row u with v cleared and row v less row u with u
+    cleared, and ``np.nonzero`` reads each pair's candidates in that order.
+    The masks are built for at most ``_MASK_CELLS // (2k)`` pairs at a time.
+    """
+    k = len(adj)
+    step = max(1, _MASK_CELLS // (2 * k))
+    flats, counts = [], []
+    for lo in range(0, len(playing), step):
+        a, b = u[playing[lo : lo + step]], v[playing[lo : lo + step]]
+        mask = np.empty((len(a), 2, k), dtype=bool)
+        mask[:, 0] = adj[a]
+        np.greater(adj[b], mask[:, 0], out=mask[:, 1])  # adj(v) and not adj(u)
+        rows = np.arange(len(a))
+        mask[rows, 0, b] = mask[rows, 1, a] = False
+        pair, col = np.nonzero(mask.reshape(len(a), -1))
+        total = np.bincount(pair, minlength=len(a))
+        # each candidate's place in its pair's list, to cut out this block
+        rank = np.arange(len(pair)) - (np.cumsum(total) - total)[pair]
+        flats.append(col[(rank >= first) & (rank < first + _BLOCK)] % k)
+        counts.append(np.clip(total - first, 0, _BLOCK))
+    count = np.concatenate(counts)
+    return np.concatenate(flats).reshape(-1, 1), np.cumsum(count) - count, count
+
+
 def _first_independent(
     decide: BatchTest, adj: np.ndarray, u: np.ndarray, v: np.ndarray, level: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (u[i], v[i]) with an independent size-level candidate, as
-    ascending indices i, and that first candidate of each, shape (H, level).
+    """Which pairs (u[i], v[i]) have an independent size-level candidate, as
+    a bool mask over i, and that first candidate of each, shape (H, level)
+    in ascending i.
 
     Wave r asks every pair still in play for its r-th candidate in one
     call of ``decide``; a pair leaves at its first independent candidate
     or when its candidates run out. The candidate table holds a block of
     at most ``_BLOCK`` candidates per pair, and the r-th wave of a block
     reads row start + r of each pair in play; the pairs still in play when
-    a wave reaches the end of a block take their next block.
+    a wave reaches the end of a block take their next block. Level 1's
+    table comes from neighbour masks (``_neighbour_table``), higher
+    levels' from one ``_subsets`` source per pair.
     """
     if level == 0:  # one candidate per pair, the empty set: one wave
-        hit = np.flatnonzero(_decided(decide, u, v, np.empty((len(u), 0), np.intp)))
-        return hit, np.empty((len(hit), 0), np.intp)
+        found = _decided(decide, u, v, np.empty((len(u), 0), np.intp))
+        return found, np.empty((np.count_nonzero(found), 0), np.intp)
     deg = adj.sum(axis=1)
-    cols = np.nonzero(adj)[1].tolist()
-    ends = np.cumsum(deg).tolist()
-    nbrs = [cols[a:b] for a, b in zip([0, *ends], ends)]
     # a pair has a candidate when either end has more than level neighbours
     playing = np.flatnonzero(np.maximum(deg[u], deg[v]) > level)
-    sources = {
-        i: _subsets(nbrs, a, b, level)
-        for i, a, b in zip(playing.tolist(), u[playing].tolist(), v[playing].tolist())
-    }
+    if level == 1:
+
+        def table(playing: np.ndarray, first: int):
+            return _neighbour_table(adj, u, v, playing, first)
+
+    else:
+        cols = np.nonzero(adj)[1].tolist()
+        ends = np.cumsum(deg).tolist()
+        nbrs = [cols[a:b] for a, b in zip([0, *ends], ends)]
+        sources = {
+            i: _subsets(nbrs, a, b, level)
+            for i, a, b in zip(playing.tolist(), u[playing].tolist(), v[playing].tolist())
+        }
+
+        def table(playing: np.ndarray, first: int):
+            return _candidate_table(sources, playing, level)
+
     found = np.zeros(len(u), dtype=bool)
     subsets = np.empty((len(u), level), np.intp)
+    first = 0
     while len(playing):
-        flat, start, count = _candidate_table(sources, playing, level)
+        flat, start, count = table(playing, first)
         for r in range(_BLOCK):
             live = count > r
             playing, start, count = playing[live], start[live], count[live]
@@ -517,7 +675,7 @@ def _first_independent(
             found[playing[hit]] = True
             subsets[playing[hit]] = s[hit]
             playing, start, count = playing[~hit], start[~hit], count[~hit]
-    found = np.flatnonzero(found)
+        first += _BLOCK
     return found, subsets[found]
 
 
@@ -540,26 +698,37 @@ def skeleton_from_ci(
     and y of shape (T,) and s of shape (T, l). It returns an array or list
     of shape (T,), True (or nonzero) where the pair is independent given
     s; any other shape is a ValueError. Level 0 is one wave over every
-    pair. Each pair is asked the candidates a one-at-a-time search would
-    ask, in the same order, so the test count of every level and the
-    sepsets are the same; a level's removals are committed in pair order.
+    pair, and level 1's table comes from neighbour masks of the adjacency.
+    Each pair is asked the candidates a one-at-a-time search would ask, in
+    the same order, so the test count of every level and the sepsets are
+    the same; a level's removals are committed in pair order.
+
+    Each removal's level is recorded in a (k, k) int8 matrix, so the pairs
+    removed at level 0, whose sepsets are all empty, take no dict entry;
+    only removals at level 1 and above are kept in a dict. The skeleton's
+    ``sepsets`` is a read-only mapping over both (``_Sepsets``).
     """
     if max_cond_size < 0:
         raise ValueError("max_cond_size must be >= 0")
     cap = min(k - 2, max_cond_size)
     adj = ~np.eye(k, dtype=bool)
-    sepsets: dict[tuple[int, int], frozenset[int]] = {}
+    levels = np.full((k, k), -1, dtype=np.int8)
+    later: dict[tuple[int, int], frozenset[int]] = {}
 
     for level in range(cap + 1):
         if not (adj.sum(axis=1) > level).any():
             break
-        u, v = np.nonzero(np.triu(adj))
+        removed = np.triu(adj)
+        u, v = np.nonzero(removed)
         found, subsets = _first_independent(decide, adj, u, v, level)
-        u, v = u[found], v[found]
-        adj[u, v] = adj[v, u] = False
-        sets = map(frozenset, subsets.tolist()) if level else repeat(frozenset())
-        sepsets.update(zip(zip(u.tolist(), v.tolist()), sets))
-    return Skeleton(adjacency=adj, sepsets=sepsets)
+        removed[removed] = found
+        removed |= removed.T
+        adj[removed] = False
+        levels[removed] = min(level, 127)
+        if level:
+            pairs = zip(u[found].tolist(), v[found].tolist())
+            later.update(zip(pairs, map(frozenset, subsets.tolist())))
+    return Skeleton(adjacency=adj, sepsets=_Sepsets(levels, later))
 
 
 def _assemble(
@@ -598,14 +767,17 @@ def orient_v_structures(sk: Skeleton, points: Sequence[KnowledgePoint]) -> Mcg:
     # an insertion-ordered set: the order decides which orientation a cycle
     # leaves undirected
     proposed: dict[tuple[int, int], None] = {}
+    # pairs removed at level 0, whose sepset is empty, are read from the
+    # removal-level matrix and the others from the dict of later removals
+    empty, later = sk.sepsets.levels == 0, sk.sepsets.later
     for w in range(k):
-        nbrs = sk.neighbors(w)
-        for u, v in combinations(nbrs, 2):
+        for u, v in combinations(sk.neighbors(w), 2):  # u < v
             if sk.adjacency[u, v]:
                 continue
-            sepset = sk.sepsets.get((min(u, v), max(u, v)))
-            if sepset is None or w in sepset:
-                continue
+            if not empty[u, v]:
+                sepset = later.get((u, v))
+                if sepset is None or w in sepset:
+                    continue
             proposed.update(dict.fromkeys([(u, w), (v, w)]))
 
     oriented = [(u, v) for u, v in proposed if (v, u) not in proposed]

@@ -359,6 +359,24 @@ class TestGSquaredBatch:
                     assert statistic[t] == pytest.approx(want.statistic, rel=1e-9, abs=0), case
                     assert p_value[t] == pytest.approx(want.p_value, rel=1e-9, abs=0), case
 
+    @pytest.mark.parametrize("masks", [True, False])
+    def test_statistics_match_stratum_loop_bit_for_bit(self, monkeypatch, masks):
+        # the kernel adds each stratum's four terms and then the strata in
+        # the loop's order, so a rewrite that moves one bit of a statistic
+        # shows here; masks=False sends every level to the bincount fallback
+        monkeypatch.setattr(cama.discovery, "_masks_are_cheaper", lambda level, words: masks)
+        for rows in (1, 40, 300, 3000):
+            rng = np.random.default_rng(rows)
+            for size in range(7):
+                for kind in ("sparse", "dense", "mixed"):
+                    z = sweep_matrix(rng, rows, 10, kind)
+                    x, y, s = random_tests(rng, z.cols, size, 8)
+                    statistic, dof, p_value, _ = batch_kernel(z, x, y, s)
+                    for t in range(len(x)):
+                        want = g2_stratum_loop(z, x[t], y[t], frozenset(s[t].tolist()), 0.05)
+                        got = (float(statistic[t]), int(dof[t]), float(p_value[t]))
+                        assert got == (want.statistic, want.dof, want.p_value), (rows, size, kind, t)
+
     @pytest.mark.parametrize("rows", [5, 300, 3000])
     def test_chunks_and_bincount_fallback_agree(self, monkeypatch, rows):
         rng = np.random.default_rng(rows)

@@ -139,6 +139,67 @@ class TestPcSkeleton:
         assert {0, 1, 2} <= sizes
 
 
+class TestSepsets:
+    def search(self):
+        # a collider 0->2<-1 and a chain 2->3->4: pairs leave at level 0
+        # (empty sepsets) and at level 1
+        dag = TrueDag(
+            names=tuple("abcde"),
+            parents=((), (), (0, 1), (2,), (3,)),
+            cpt=tuple(np.full((2 ** n, 2), 0.5) for n in (0, 0, 2, 1, 1)),
+        )
+        return skeleton_from_ci(dag.k, dsep_independence(dag))
+
+    def test_reads_as_the_dict_of_removals(self):
+        sk = self.search()
+        want = {
+            (0, 1): frozenset(),
+            (0, 3): frozenset({2}),
+            (0, 4): frozenset({2}),
+            (1, 3): frozenset({2}),
+            (1, 4): frozenset({2}),
+            (2, 4): frozenset({3}),
+        }
+        assert sk.sepsets == want and want == sk.sepsets
+        assert list(sk.sepsets.items()) == list(want.items())
+        assert len(sk.sepsets) == 6 and sk.sepsets != {**want, (0, 2): frozenset()}
+        assert (0, 1) in sk.sepsets and (1, 0) not in sk.sepsets
+        assert sk.sepsets.get((0, 2)) is None and sk.sepsets.get("ab") is None
+        with pytest.raises(KeyError):
+            sk.sepsets[(1, 0)]
+
+    def test_is_read_only(self):
+        sk = self.search()
+        with pytest.raises(TypeError):
+            sk.sepsets[(0, 2)] = frozenset()
+        assert not hasattr(sk.sepsets, "update")
+
+
+class TestSkeletonSepsetKeys:
+    def test_key_orient_never_reads_is_refused(self):
+        # on the path 0-1-2, the key (2, 0) was stored but never looked up,
+        # so the collider 0->1<-2 came out as two undirected edges
+        assert orient_v_structures(
+            skeleton_of([(0, 1), (1, 2)], 3, sepsets={(0, 2): frozenset()}), pts(3)
+        ).directed == {(0, 1), (2, 1)}
+        for key in [(2, 0), (0, 0), (0, 3), (-1, 2), (0,), (0, 1, 2), "02", (0.0, 2.0)]:
+            with pytest.raises(ValueError, match="is not a pair"):
+                skeleton_of([(0, 1), (1, 2)], 3, sepsets={key: frozenset()})
+
+    def test_adjacent_pair_is_refused(self):
+        with pytest.raises(ValueError, match="adjacent pair"):
+            skeleton_of([(0, 1), (1, 2)], 3, sepsets={(0, 1): frozenset()})
+
+    def test_sepset_holding_its_pair_is_refused(self):
+        for sepset in ({0}, {2}, {1, 2}):
+            with pytest.raises(ValueError, match="holds one of its own pair"):
+                skeleton_of([(0, 1), (1, 2)], 3, sepsets={(0, 2): frozenset(sepset)})
+
+    def test_numpy_integer_keys_are_pairs(self):
+        sk = skeleton_of([(0, 1), (1, 2)], 3, sepsets={(np.int64(0), np.int64(2)): frozenset({1})})
+        assert sk.sepsets[(0, 2)] == frozenset({1})
+
+
 class TestDecideResult:
     def test_short_result_is_refused(self):
         # 4 columns give 6 level-0 tests; one result too few must not leave
