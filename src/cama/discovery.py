@@ -21,12 +21,11 @@ Level 1's table comes from neighbour masks of the adjacency matrix, one
 read one ``_subsets`` source per pair. A pair leaves at its first
 independent candidate, so the tests asked and the sepsets are those of a
 one-at-a-time search, and removals are committed only when a level ends.
-Each removal's level goes into a (k, k) int8 matrix, so the pairs removed
-at level 0, whose sepsets are all empty, take no dict entry; a
-skeleton's ``sepsets`` is a read-only mapping over that matrix and a
-dict of the later removals. A sepset key passed to ``Skeleton`` must be
-a non-adjacent pair (u, v) with u < v whose set holds neither, the key
-``orient_v_structures`` looks up.
+The pairs removed at level 0, whose sepsets are all empty, are kept as a
+(k, k) bool matrix and take no dict entry; a skeleton's ``sepsets`` is a
+read-only mapping over that matrix and a dict of the later removals. A
+sepset key passed to ``Skeleton`` must be a non-adjacent pair (u, v) with
+u < v whose set holds neither, the key ``orient_v_structures`` looks up.
 
 With G-squared a batch is one kernel for any |S|. Once per discovery the
 columns are packed into bit words and each column and each pair of
@@ -37,13 +36,13 @@ ones are popcounts of ANDed packed columns. A test given no column reads
 no packed word, and a test given one column reads one. The tables lie
 with the tests along their last axis, so the statistic is elementwise
 adds over whole cells and strata, never a sum over an axis of length 2.
-The cut that the statistic of each degree of freedom is compared with is
-computed once per discovery; only a statistic within 1e-6 of its cut gets
-its p-value. The dof of a test is a whole number, so the chi-square tail
-has a closed form (Abramowitz & Stegun 26.4.4-26.4.5) and its cut follows
-by Newton's method, both in the standard library and within 3e-12
-(relative) of SciPy's incomplete gamma functions (``chi2_sf``,
-``_chi2_cut``).
+Each statistic is compared with the cut of its degree of freedom, and
+only one within 1e-6 of its cut gets its p-value (``_independent``). The
+dof of a test is a whole number, so the chi-square tail has a closed form
+(Abramowitz & Stegun 26.4.4-26.4.5); its cut is found by bisection on that
+tail and memoised per (dof, alpha). Both are in the standard library and
+within 3e-12 (relative) of SciPy's incomplete gamma functions
+(``chi2_sf``, ``_chi2_cut``).
 """
 
 from __future__ import annotations
@@ -135,46 +134,27 @@ def _chi2_tail(x: float, dof: int) -> float:
     return tail
 
 
+@functools.cache
 def _chi2_cut(dof: int, alpha: float) -> float:
-    """The x where ``_chi2_tail(x, dof)`` equals alpha, for dof >= 1.
+    """The x where ``_chi2_tail(x, dof)`` equals alpha, for dof >= 1,
+    memoised per (dof, alpha).
 
-    Newton's method on ln Q(x) - ln alpha, Q the tail, whose slope is
-    -pdf(x) / Q(x), kept inside the bracket of the points seen on either
-    side: a step that leaves it bisects it instead. It starts from the
-    Wilson-Hilferty approximation dof * (1 - c + z sqrt(c))^3, c = 2 /
-    (9 dof) and z the standard normal quantile at 1 - alpha; where that is
-    not positive (few dof, alpha near 1), from 1 - Q ~ h^a / Gamma(a + 1),
-    h = x / 2 and a = dof / 2. It stops at a step under 1e-12 of x, mostly
-    after 2 to 5 steps. Against SciPy's ``2 * gammainccinv(dof / 2,
-    alpha)`` the relative error is at most 1e-12 for dof up to 5000 and
+    Bisection on the tail, which falls as x grows: the bracket's top starts
+    at dof and doubles until the tail there is at most alpha, then the
+    bracket halves until it is narrower than 1e-13 of its top. Against SciPy's ``2 * gammainccinv(dof
+    / 2, alpha)`` the relative error is at most 1e-12 for dof up to 5000 and
     alpha from 1e-12 to 0.99.
     """
-    # imported here: statistics and its imports add 0.5 MB to a process that
-    # loads an incidence matrix before it discovers
-    from statistics import NormalDist
-
-    a = dof / 2.0
-    c = 2.0 / (9.0 * dof)
-    base = 1.0 - c - NormalDist().inv_cdf(alpha) * math.sqrt(c)
-    x = dof * base**3 if base > 0 else 2.0 * ((1.0 - alpha) * math.gamma(a + 1.0)) ** (1.0 / a)
-    lo, hi = 0.0, math.inf
-    for _ in range(100):
-        q = _chi2_tail(x, dof)
-        if q > alpha:
-            lo = x
+    lo, hi = 0.0, float(dof)
+    while _chi2_tail(hi, dof) > alpha:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-13 * hi:
+        mid = (lo + hi) / 2.0
+        if _chi2_tail(mid, dof) > alpha:
+            lo = mid
         else:
-            hi = x
-        if q == 0.0:  # below the doubles: no slope to follow
-            step = (lo + hi) / 2.0 - x
-        else:
-            log_pdf = (a - 1.0) * math.log(x / 2.0) - x / 2.0 - math.lgamma(a) - math.log(2.0)
-            step = (math.log(q) - math.log(alpha)) * math.exp(math.log(q) - log_pdf)
-        if abs(step) <= 1e-12 * x:
-            return x + step
-        x += step
-        if not lo < x < hi:
-            x = (lo + hi) / 2.0
-    return x
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def _check_alpha(alpha: float) -> None:
@@ -193,7 +173,9 @@ def _check_cond_size(size: int) -> None:
 def g_squared_ci_test(
     z: IncidenceMatrix, x: int, y: int, s: Sequence[int] | frozenset, alpha: float
 ) -> CiTestResult:
-    """G-squared conditional independence test of columns x and y given s.
+    """G-squared conditional independence test of columns x and y given s:
+    the scalar reference that discovery's batch kernel (``_g_squared_batch``)
+    is checked against, bit for bit (``tests/test_ci_test.py``).
 
     The tables come from one bincount of the rows (``_bincount_tables``)
     and the statistic from ``_g_squared``.
@@ -278,43 +260,27 @@ def _g_squared(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _independent(statistic: np.ndarray, dof: np.ndarray, alpha: float) -> np.ndarray:
-    """``chi2_sf(statistic, dof) > alpha`` elementwise, computing few p-values
-    (``_cut_table``)."""
-    return _cut_table(alpha)(statistic, dof)
-
-
-def _cut_table(alpha: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """``_independent`` at ``alpha``, computing each dof's cut once.
+    """``chi2_sf(statistic, dof) > alpha`` elementwise, computing few p-values.
 
     The p-value falls as the statistic grows and equals alpha at the cut
-    (``_chi2_cut``, within 1e-12 of SciPy's for dof up to 5000). A
-    statistic more than 1e-6 (relative) away from its cut lies on the side
-    that decides it: for alpha up to 0.99 such a move changes the p-value
-    by at least 5e-9 of itself, over a thousand times the 3e-12 error of
-    the closed-form tail (``chi2_sf``). Statistics nearer the cut get
-    their p-value. A test with zero dof has the cut +inf, so it is
-    independent. The cuts are kept by dof, each computed the first time a
-    call sees it.
+    (``_chi2_cut``, within 1e-12 of SciPy's for dof up to 5000), looked up
+    for each dof present. A statistic more than 1e-6 (relative) away from
+    its cut lies on the side that decides it: for alpha up to 0.99 such a
+    move changes the p-value by at least 5e-9 of itself, over a thousand
+    times the 3e-12 error of the closed-form tail (``chi2_sf``). Statistics
+    nearer the cut get their p-value. A test with zero dof has the cut
+    +inf, so it is independent.
     """
-    cuts = np.array([np.inf])  # by dof; nan where not yet computed
-
-    def independent(statistic: np.ndarray, dof: np.ndarray) -> np.ndarray:
-        nonlocal cuts
-        if dof.size and dof.max() >= len(cuts):
-            cuts = np.concatenate([cuts, np.full(dof.max() + 1 - len(cuts), np.nan)])
-        cut = cuts[dof]
-        new = np.isnan(cut)
-        if new.any():
-            fresh = np.unique(dof[new])
-            cuts[fresh] = [_chi2_cut(d, alpha) for d in fresh.tolist()]
-            cut = cuts[dof]
-        decided = statistic < cut
-        near = np.flatnonzero(np.abs(statistic - cut) <= 1e-6 * cut)
-        if len(near):
-            decided[near] = chi2_sf(statistic[near], dof[near]) > alpha
-        return decided
-
-    return independent
+    tests = np.bincount(dof, minlength=1)  # by dof
+    present = np.flatnonzero(tests[1:]) + 1
+    cuts = np.full(len(tests), np.inf)
+    cuts[present] = [_chi2_cut(d, alpha) for d in present.tolist()]
+    cut = cuts[dof]
+    decided = statistic < cut
+    near = np.flatnonzero(np.abs(statistic - cut) <= 1e-6 * cut)
+    if len(near):
+        decided[near] = chi2_sf(statistic[near], dof[near]) > alpha
+    return decided
 
 
 class _Packed(NamedTuple):
@@ -459,34 +425,33 @@ def _g_squared_batch(
 class _Sepsets(Mapping):
     """The separating sets of a skeleton's removed pairs, read-only.
 
-    ``levels`` is the (k, k) int8 matrix of the level at which each pair
-    was removed, -1 where it was not (a level past 127 reads 127); every
-    pair removed at level 0 has the empty sepset and is read from it. The
-    sepsets of the other removed pairs are the dict ``later``. Pairs are
-    keyed (u, v) with u < v, and come in the order the search removed
-    them: the level-0 pairs in row order, then ``later`` in its order.
+    ``level_zero`` is the symmetric (k, k) bool matrix of the pairs removed
+    at level 0, whose sepsets are all empty. The sepsets of the other
+    removed pairs are the dict ``later``. Pairs are keyed (u, v) with
+    u < v, and come in the order the search removed them: the level-0
+    pairs in row order, then ``later`` in its order.
     """
 
-    __slots__ = ("levels", "later")
+    __slots__ = ("level_zero", "later")
 
-    def __init__(self, levels: np.ndarray, later: dict[tuple[int, int], frozenset[int]]):
-        self.levels, self.later = levels, later
+    def __init__(self, level_zero: np.ndarray, later: dict[tuple[int, int], frozenset[int]]):
+        self.level_zero, self.later = level_zero, later
 
     def __getitem__(self, key):
         found = self.later.get(key)
         if found is not None:
             return found
-        pair = _pair(key, len(self.levels))
-        if pair is not None and self.levels[pair] == 0:
+        pair = _pair(key, len(self.level_zero))
+        if pair is not None and self.level_zero[pair]:
             return frozenset()
         raise KeyError(key)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        u, v = np.nonzero(np.triu(self.levels == 0))
+        u, v = np.nonzero(np.triu(self.level_zero))
         return chain(zip(u.tolist(), v.tolist()), self.later)
 
     def __len__(self) -> int:
-        return np.count_nonzero(self.levels == 0) // 2 + len(self.later)
+        return np.count_nonzero(self.level_zero) // 2 + len(self.later)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
@@ -502,19 +467,17 @@ def _pair(key, k: int) -> tuple[int, int] | None:
     return (int(u), int(v)) if 0 <= u < v < k else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Skeleton:
     """Undirected adjacency plus the separating sets found for removed pairs.
 
     ``sepsets`` is a read-only mapping from each removed pair (u, v),
-    u < v, to its separating set. ``skeleton_from_ci`` keeps the pairs it
-    removed at level 0 in a (k, k) removal-level matrix, since their sets
-    are all empty, and only the later ones in a dict (``_Sepsets``). A
-    mapping passed in is copied and checked: each key must be a pair (u,
-    v) with 0 <= u < v < k that is not adjacent, and its set must hold
-    neither u nor v; otherwise it is a ValueError, as a key that
-    ``orient_v_structures`` never looks up would silently leave its
-    colliders undirected.
+    u < v, to its separating set (``_Sepsets``). A mapping passed in is
+    copied and checked: each key must be a pair (u, v) with 0 <= u < v < k
+    that is not adjacent, and its set must hold neither u nor v; otherwise
+    it is a ValueError, as a key that ``orient_v_structures`` never looks
+    up would silently leave its colliders undirected. Skeletons compare
+    equal by adjacency and sepsets, and are not hashable.
     """
 
     adjacency: np.ndarray
@@ -539,8 +502,7 @@ class Skeleton:
                     raise ValueError(f"sepset key {key!r} names an adjacent pair")
                 if pair[0] in sepset or pair[1] in sepset:
                     raise ValueError(f"the sepset of {key!r} holds one of its own pair")
-            levels = np.full(adj.shape, -1, dtype=np.int8)
-            object.__setattr__(self, "sepsets", _Sepsets(levels, later))
+            object.__setattr__(self, "sepsets", _Sepsets(np.zeros_like(adj), later))
 
     @property
     def k(self) -> int:
@@ -548,6 +510,13 @@ class Skeleton:
 
     def neighbors(self, i: int) -> list[int]:
         return [int(j) for j in np.flatnonzero(self.adjacency[i])]
+
+    def __eq__(self, other):
+        if not isinstance(other, Skeleton):
+            return NotImplemented
+        return np.array_equal(self.adjacency, other.adjacency) and self.sepsets == other.sepsets
+
+    __hash__ = None
 
 
 def _decided(decide: BatchTest, x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -703,16 +672,15 @@ def skeleton_from_ci(
     the same order, so the test count of every level and the sepsets are
     the same; a level's removals are committed in pair order.
 
-    Each removal's level is recorded in a (k, k) int8 matrix, so the pairs
-    removed at level 0, whose sepsets are all empty, take no dict entry;
-    only removals at level 1 and above are kept in a dict. The skeleton's
-    ``sepsets`` is a read-only mapping over both (``_Sepsets``).
+    The skeleton's ``sepsets`` keeps the level-0 removals, whose sets are
+    all empty, as a (k, k) bool matrix and the later ones in a dict
+    (``_Sepsets``).
     """
     if max_cond_size < 0:
         raise ValueError("max_cond_size must be >= 0")
     cap = min(k - 2, max_cond_size)
     adj = ~np.eye(k, dtype=bool)
-    levels = np.full((k, k), -1, dtype=np.int8)
+    level_zero = np.zeros((k, k), dtype=bool)
     later: dict[tuple[int, int], frozenset[int]] = {}
 
     for level in range(cap + 1):
@@ -724,11 +692,12 @@ def skeleton_from_ci(
         removed[removed] = found
         removed |= removed.T
         adj[removed] = False
-        levels[removed] = min(level, 127)
-        if level:
+        if level == 0:
+            level_zero = removed
+        else:
             pairs = zip(u[found].tolist(), v[found].tolist())
             later.update(zip(pairs, map(frozenset, subsets.tolist())))
-    return Skeleton(adjacency=adj, sepsets=_Sepsets(levels, later))
+    return Skeleton(adjacency=adj, sepsets=_Sepsets(level_zero, later))
 
 
 def _assemble(
@@ -767,9 +736,9 @@ def orient_v_structures(sk: Skeleton, points: Sequence[KnowledgePoint]) -> Mcg:
     # an insertion-ordered set: the order decides which orientation a cycle
     # leaves undirected
     proposed: dict[tuple[int, int], None] = {}
-    # pairs removed at level 0, whose sepset is empty, are read from the
-    # removal-level matrix and the others from the dict of later removals
-    empty, later = sk.sepsets.levels == 0, sk.sepsets.later
+    # pairs removed at level 0, whose sepset is empty, are read from their
+    # bool matrix and the others from the dict of later removals
+    empty, later = sk.sepsets.level_zero, sk.sepsets.later
     for w in range(k):
         for u, v in combinations(sk.neighbors(w), 2):  # u < v
             if sk.adjacency[u, v]:
@@ -874,9 +843,8 @@ def discover_cpdag(
     except ValueError as e:
         raise ParseError(f"incidence column keys are not node keys: {e}") from e
     packed = _pack(z.cells)
-    independent = _cut_table(alpha)
 
     def decide(x: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return independent(*_g_squared_batch(z, packed, x, y, s))
+        return _independent(*_g_squared_batch(z, packed, x, y, s), alpha)
 
     return cpdag_from_ci(z.cols, decide, points, max_cond_size=max_cond_size)

@@ -211,7 +211,9 @@ def _chosen(g: Mcg, selected: Iterable[int]) -> list[int]:
 
 
 def extract_subgraph(g: Mcg, selected: Iterable[int]) -> Mcg:
-    """Induced subgraph on ``selected``: an edge survives iff both endpoints do."""
+    """Induced subgraph on ``selected``, renumbered in ascending order: an
+    edge survives iff both endpoints do. The pipeline does not build it; it
+    renders a subgraph with ``verbalize(g, selected)``."""
     chosen = _chosen(g, selected)
     remap = {old: new for new, old in enumerate(chosen)}
     return Mcg(

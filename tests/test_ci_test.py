@@ -13,7 +13,7 @@ from conftest import one_at_a_time
 import cama.discovery
 from cama.discovery import (
     CiTestResult,
-    _cut_table,
+    _chi2_cut,
     _g_squared,
     _g_squared_batch,
     _independent,
@@ -547,40 +547,41 @@ def test_level_zero_batch_memory_is_bounded():
     assert np.array_equal(statistic, one_chunk[0]) and np.array_equal(dof, one_chunk[1])
 
 
-def test_cut_table_computes_each_dof_once(monkeypatch):
-    # one discovery computes the cut of each dof its waves meet once
-    asked, dofs = [], []
-    inverse, kernel = cama.discovery._chi2_cut, cama.discovery._g_squared_batch
-
-    def recording_inverse(dof, alpha):
-        asked.append(dof)
-        return inverse(dof, alpha)
+def test_cut_memo_misses_once_per_dof(monkeypatch):
+    # one discovery computes the cut of each dof its waves meet once; the
+    # same discovery again computes none, and one at another alpha some
+    dofs = []
+    kernel = cama.discovery._g_squared_batch
 
     def recording_kernel(*args):
         statistic, dof = kernel(*args)
         dofs.append(dof)
         return statistic, dof
 
-    monkeypatch.setattr(cama.discovery, "_chi2_cut", recording_inverse)
     monkeypatch.setattr(cama.discovery, "_g_squared_batch", recording_kernel)
     z = sample_incidence(random_true_dag(12, 2 / 11, seed=3), 4000, seed=3)
+    _chi2_cut.cache_clear()
     discover_cpdag(z)
     met = np.unique(np.concatenate(dofs))
-    assert sorted(asked) == met[met > 0].tolist()
-    assert len(dofs) > len(asked)
+    misses = _chi2_cut.cache_info().misses
+    assert misses == np.count_nonzero(met > 0)
+    assert len(dofs) > misses
+    discover_cpdag(z)
+    assert _chi2_cut.cache_info().misses == misses
+    discover_cpdag(z, alpha=0.01)
+    assert _chi2_cut.cache_info().misses > misses
 
 
-def test_cut_table_decides_as_p_values_across_calls():
-    # cuts kept from earlier calls decide as fresh ones: each call mixes
+def test_independent_decides_as_p_values_across_calls():
+    # cuts memoised by earlier calls decide as fresh ones: each call mixes
     # dofs met before with new ones, statistics on and near their cuts
     rng = np.random.default_rng(1)
-    independent = _cut_table(0.05)
     for dofs in ([3, 1], [1, 7, 3], [64, 0], [2, 7, 1, 0, 64]):
         dof = np.repeat(dofs, 20)
         cut = np.where(dof > 0, 2.0 * gammainccinv(np.maximum(dof, 1) / 2.0, 0.05), 1.0)
         statistic = cut * (1 + rng.choice([0.0, 1e-7, -1e-7, 1e-3, -1e-3], len(dof)))
         want = chi2_sf(statistic, dof) > 0.05
-        assert np.array_equal(independent(statistic, dof), want), dofs
+        assert np.array_equal(_independent(statistic, dof, 0.05), want), dofs
 
 
 class TestIndependentDecision:

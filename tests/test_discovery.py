@@ -175,6 +175,26 @@ class TestSepsets:
         assert not hasattr(sk.sepsets, "update")
 
 
+class TestSkeletonEquality:
+    def test_equal_on_adjacency_and_sepsets(self):
+        z = sample_incidence(random_true_dag(8, 0.35, seed=2), 3000, seed=2)
+        sk = pc_skeleton(z, alpha=0.05)
+        sepsets = dict(sk.sepsets)
+        assert frozenset() in sepsets.values() and any(sepsets.values())
+        assert sk == pc_skeleton(z, alpha=0.05)
+        assert sk == Skeleton(adjacency=sk.adjacency.copy(), sepsets=sepsets)
+        u, v = map(int, np.argwhere(np.triu(sk.adjacency))[0])
+        one_edge_less = sk.adjacency.copy()
+        one_edge_less[u, v] = one_edge_less[v, u] = False
+        assert sk != Skeleton(adjacency=one_edge_less, sepsets=sepsets)
+        (u, v), sepset = next((key, s) for key, s in sepsets.items() if s)
+        other = next(w for w in range(sk.k) if w not in (u, v, *sepset))
+        changed = {**sepsets, (u, v): sepset | {other}}
+        assert sk != Skeleton(adjacency=sk.adjacency, sepsets=changed)
+        with pytest.raises(TypeError, match="Skeleton"):
+            hash(sk)
+
+
 class TestSkeletonSepsetKeys:
     def test_key_orient_never_reads_is_refused(self):
         # on the path 0-1-2, the key (2, 0) was stored but never looked up,
